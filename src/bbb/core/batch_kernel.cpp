@@ -38,24 +38,41 @@ class FifoSource {
   return (0 - b) % b;
 }
 
-/// Fill/map/prefetch proceed in chunks of this many words rather than
-/// whole waves: by the time the commit walk touches a chunk's lanes, the
-/// later chunks' serial RNG chains have aged its prefetches by hundreds
-/// of cycles — enough to cover an L3 round trip. Whole-wave scheduling
-/// issues the first prefetch immediately before its first use and the
-/// walk eats the full miss latency.
-constexpr std::uint32_t kMapChunk = 128;
+/// Prefetch (for write) the lane of `bin`: BinState::prefetch's compact
+/// arm, on the walk's hoisted slab pointer — the state's own members
+/// would be reloaded after every byte store the commit makes.
+void prefetch_lane(const std::uint8_t* lanes, std::uint32_t bin) noexcept {
+#if defined(__GNUC__) || defined(__clang__)
+  __builtin_prefetch(lanes + bin, 1, 3);
+#else
+  (void)lanes;
+  (void)bin;
+#endif
+}
+
+/// Prefetch the lanes of the wave's first kPrefetchWords words — the
+/// words the commit walk reaches before its own in-walk prefetches
+/// (word k + kPrefetchWords while committing word k) take over.
+void prefetch_head(const std::uint8_t* lanes, const std::uint32_t* bins,
+                   std::uint32_t fill) noexcept {
+  const std::uint32_t head =
+      fill < BatchPlacer::kPrefetchWords ? fill : BatchPlacer::kPrefetchWords;
+  for (std::uint32_t i = 0; i < head; ++i) prefetch_lane(lanes, bins[i]);
+}
 
 }  // namespace
 
 void BatchPlacer::ensure_scratch() {
   if (!words_.empty()) return;
   words_.resize(kWaveWords + 2);  // tie bit is read at k+2 with k+2 <= fill
-  // + 4: the greedy[2] walk speculatively preloads candidate bins at
-  // k + 4 before knowing whether the current ball ties. Entries past the
-  // mapped fill are zero (or stale bins from a prior wave) — always valid
-  // bin indices, and the preload is discarded at the wave boundary.
-  bins_.resize(kWaveWords + 4);
+  // + kPrefetchWords + 4: the walks prefetch the lane of word k +
+  // kPrefetchWords (greedy[2]: up to + 2 more) while committing word k,
+  // and the greedy[2] walk speculatively preloads candidate bins at k + 4
+  // before knowing whether the current ball ties. Entries past the mapped
+  // fill are zero (or stale bins from a prior wave) — always valid bin
+  // indices; the prefetches are hints and the preload is discarded at the
+  // wave boundary.
+  bins_.resize(kWaveWords + kPrefetchWords + 4);
 }
 
 void BatchPlacer::place_one_choice(BinState& state, std::uint64_t count,
@@ -75,14 +92,9 @@ void BatchPlacer::place_one_choice(BinState& state, std::uint64_t count,
     const auto quota = static_cast<std::uint32_t>(
         remaining < kWaveWords ? remaining : kWaveWords);
     const std::uint32_t fill = quota;  // exactly one word per ball
-    bool reject = false;
-    for (std::uint32_t c = 0; c < fill; c += kMapChunk) {
-      const std::uint32_t stop = c + kMapChunk < fill ? c + kMapChunk : fill;
-      lookahead.next_block(gen, words_.data() + c, stop - c);
-      reject |= ops.map_words(words_.data() + c, stop - c, stream, stream,
-                              bins_.data() + c);
-      for (std::uint32_t i = c; i < stop; ++i) state.prefetch(bins_[i]);
-    }
+    lookahead.next_block(gen, words_.data(), fill);
+    const bool reject = ops.map_words(words_.data(), fill, stream, stream, bins_.data());
+    prefetch_head(lanes, bins_.data(), fill);
     std::uint32_t placed = 0;
     if (!reject) {
       // One-choice reads no loads to decide, so the commit reads the
@@ -95,6 +107,7 @@ void BatchPlacer::place_one_choice(BinState& state, std::uint64_t count,
       const std::uint32_t* bins = bins_.data();
       BinState::BatchMetrics m = state.batch_begin();
       for (; placed < quota; ++placed) {
+        prefetch_lane(lanes, bins[placed + kPrefetchWords]);
         const std::uint32_t bin = bins[placed];
         const std::uint8_t l = lanes[bin];
         if (l <= kFastLoadMax) [[likely]] {
@@ -147,18 +160,12 @@ void BatchPlacer::place_greedy2(BinState& state, std::uint64_t count,
     const auto quota =
         static_cast<std::uint32_t>(remaining < room ? remaining : room);
     const std::uint32_t fill = res + 2 * quota;
-    // Residue words carried over from the prior wave get remapped (and
-    // re-screened: an unconsumed rejection candidate must keep tripping
-    // the fallback) before the chunked fill takes over. Both map streams
-    // are the same bound here, so chunk parity is immaterial.
-    bool reject = ops.map_words(words_.data(), res, stream, stream, bins_.data());
-    for (std::uint32_t c = res; c < fill; c += kMapChunk) {
-      const std::uint32_t stop = c + kMapChunk < fill ? c + kMapChunk : fill;
-      lookahead.next_block(gen, words_.data() + c, stop - c);
-      reject |= ops.map_words(words_.data() + c, stop - c, stream, stream,
-                              bins_.data() + c);
-      for (std::uint32_t i = c; i < stop; ++i) state.prefetch(bins_[i]);
-    }
+    // Residue words carried over from the prior wave are remapped with
+    // the fresh ones (and re-screened: an unconsumed rejection candidate
+    // must keep tripping the fallback).
+    lookahead.next_block(gen, words_.data() + res, fill - res);
+    const bool reject = ops.map_words(words_.data(), fill, stream, stream, bins_.data());
+    prefetch_head(lanes, bins_.data(), fill);
     std::uint32_t k = 0;
     std::uint32_t placed = 0;
     if (!reject) {
@@ -211,6 +218,11 @@ void BatchPlacer::place_greedy2(BinState& state, std::uint64_t count,
         // branch that mispredicts its way to ~5 cycles a ball).
         const std::uint32_t lt = (load1 - load0) >> 31;
         const std::uint32_t sel = lt | (eq & tb);
+        // The cursor advances 2 or 3 words a ball, so covering words
+        // k + D .. k + D + 2 prefetches every word once or twice.
+        prefetch_lane(lanes, bins[k + kPrefetchWords]);
+        prefetch_lane(lanes, bins[k + kPrefetchWords + 1]);
+        prefetch_lane(lanes, bins[k + kPrefetchWords + 2]);
         // Speculative next-ball preloads; issue before the commit so the
         // loads overlap the bookkeeping.
         const std::uint32_t nb2 = bins[k + 2];
@@ -300,16 +312,9 @@ void BatchPlacer::place_left2(BinState& state, std::uint64_t count,
     const auto quota =
         static_cast<std::uint32_t>(remaining < room ? remaining : room);
     const std::uint32_t fill = 2 * quota;
-    // Chunk starts are multiples of kMapChunk (even), so the even/odd
-    // stream split survives the chunked map calls.
-    bool reject = false;
-    for (std::uint32_t c = 0; c < fill; c += kMapChunk) {
-      const std::uint32_t stop = c + kMapChunk < fill ? c + kMapChunk : fill;
-      lookahead.next_block(gen, words_.data() + c, stop - c);
-      reject |= ops.map_words(words_.data() + c, stop - c, even, odd,
-                              bins_.data() + c);
-      for (std::uint32_t i = c; i < stop; ++i) state.prefetch(bins_[i]);
-    }
+    lookahead.next_block(gen, words_.data(), fill);
+    const bool reject = ops.map_words(words_.data(), fill, even, odd, bins_.data());
+    prefetch_head(lanes, bins_.data(), fill);
     std::uint32_t k = 0;
     std::uint32_t placed = 0;
     if (!reject) {
@@ -319,6 +324,8 @@ void BatchPlacer::place_left2(BinState& state, std::uint64_t count,
       const std::uint32_t* bins = bins_.data();
       BinState::BatchMetrics m = state.batch_begin();
       for (; placed < quota; ++placed, k += 2) {
+        prefetch_lane(lanes, bins[k + kPrefetchWords]);
+        prefetch_lane(lanes, bins[k + kPrefetchWords + 1]);
         const std::uint32_t b0 = bins[k];
         const std::uint32_t b1 = bins[k + 1];
         const std::uint32_t l0 = lanes[b0];

@@ -13,14 +13,21 @@
 /// bin it will address if consumed as a candidate with the ISA backend's
 /// `map_words` (Lemire's multiply is position-independent, the same
 /// trick the lookahead's prefetch uses), which simultaneously screens
-/// the whole wave for Lemire rejection candidates, (c) prefetches every
-/// mapped lane, and (d) walks the buffer committing balls against the
-/// *live* lane slab. Steps (a)-(c) run in kMapChunk-word chunks so each
-/// chunk's lane prefetches age behind the next chunk's serial RNG fill,
-/// and the walk (d) is branchless on random data — load compares, tie
-/// selects, and the data-dependent cursor advance are all arithmetic,
-/// with the next ball's candidates preloaded for both possible advances
-/// before the current ball's tie resolves (see place_greedy2).
+/// the whole wave for Lemire rejection candidates, (c) prefetches the
+/// lanes of the first kPrefetchWords words, and (d) walks the buffer
+/// committing balls against the *live* lane slab. The walk carries the
+/// prefetch stream itself: while it commits the ball at word k it
+/// prefetches the lane of word k + D, D = kPrefetchWords (greedy[2],
+/// whose cursor advances 2 or 3 words, covers k + D .. k + D + 2), so
+/// the misses of the next ~20 balls are always in flight behind the
+/// current commit and a slab past the LLC costs memory throughput, not
+/// memory latency, per ball. The warm-up in (c) is the one burst whose
+/// misses nothing overlaps, which is why waves are long. The walk is
+/// branchless on random data — load
+/// compares, tie selects, and the data-dependent cursor advance are all
+/// arithmetic, with the next ball's candidates preloaded for both
+/// possible advances before the current ball's tie resolves (see
+/// place_greedy2).
 ///
 /// Reading the live lanes is what makes in-wave duplicates a non-event:
 /// two balls probing the same bin serialize through the slab exactly as
@@ -72,11 +79,20 @@ namespace bbb::core {
 /// rule (scratch buffers are reused across calls; counters accumulate).
 class BatchPlacer {
  public:
-  /// Words buffered per wave. 256 words is ~128 greedy[2] balls: deep
-  /// enough that the bulk map + prefetch pass runs far ahead of the
-  /// commit walk (4x the lookahead's distance), shallow enough that the
-  /// word block and its bin map stay resident in L1.
-  static constexpr std::uint32_t kWaveWords = 256;
+  /// Words buffered per wave. 2048 words is ~1000 greedy[2] balls, so the
+  /// per-wave warm-up (the first kPrefetchWords lanes are prefetched at
+  /// fill time and their misses overlap only each other) is paid rarely,
+  /// while the word block and its bin map (24 KiB together) stay resident
+  /// in a 48 KiB L1.
+  static constexpr std::uint32_t kWaveWords = 2048;
+
+  /// Lane prefetch distance of the commit walk, in words: committing the
+  /// ball at word k prefetches the lane of word k + kPrefetchWords. 48
+  /// words (~20 greedy[2] balls) covers a DRAM round trip of walk at
+  /// beyond-LLC sizes; on a 128 MiB slab, distances from 24 to 160 and
+  /// waves from 1024 to 4096 words measured within run-to-run noise of
+  /// this choice.
+  static constexpr std::uint32_t kPrefetchWords = 48;
 
   /// Highest lane value the fast commit accepts: the new load l+1 must
   /// stay strictly below the 255 promotion threshold, and lane 255 means
@@ -127,7 +143,7 @@ class BatchPlacer {
   void ensure_scratch();
 
   std::vector<std::uint64_t> words_;  // kWaveWords + 2 (tie-bit overread pad)
-  std::vector<std::uint32_t> bins_;
+  std::vector<std::uint32_t> bins_;   // kWaveWords + kPrefetchWords + 4
 
   std::uint64_t batches_ = 0;
   std::uint64_t waves_ = 0;

@@ -2,9 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <map>
+#include <new>
 #include <stdexcept>
 #include <utility>
+
+#if __has_include(<sys/mman.h>)
+#include <sys/mman.h>
+#endif
 
 #include "bbb/core/metrics.hpp"
 
@@ -18,6 +24,51 @@ namespace {
 constexpr std::uint32_t kPowCacheMax = 1u << 20;
 
 }  // namespace
+
+LaneSlab::LaneSlab(std::size_t size) {
+  allocate(size);
+  if (size_ != 0) std::memset(data_, 0, size_);
+}
+
+LaneSlab::LaneSlab(const LaneSlab& other) {
+  allocate(other.size_);
+  if (size_ != 0) std::memcpy(data_, other.data_, size_);
+}
+
+LaneSlab::LaneSlab(LaneSlab&& other) noexcept
+    : data_(std::exchange(other.data_, nullptr)),
+      size_(std::exchange(other.size_, 0)),
+      hugepage_bytes_(std::exchange(other.hugepage_bytes_, 0)) {}
+
+LaneSlab& LaneSlab::operator=(LaneSlab other) noexcept {
+  std::swap(data_, other.data_);
+  std::swap(size_, other.size_);
+  std::swap(hugepage_bytes_, other.hugepage_bytes_);
+  return *this;
+}
+
+LaneSlab::~LaneSlab() {
+  if (size_ >= kHugePageBytes) {
+    ::operator delete(data_, std::align_val_t{kHugePageBytes});
+  } else {
+    ::operator delete(data_);
+  }
+}
+
+void LaneSlab::allocate(std::size_t size) {
+  size_ = size;
+  if (size < kHugePageBytes) {
+    data_ = size == 0 ? nullptr : static_cast<std::uint8_t*>(::operator new(size));
+    return;
+  }
+  void* slab = ::operator new(size, std::align_val_t{kHugePageBytes});
+  data_ = static_cast<std::uint8_t*>(slab);
+#ifdef MADV_HUGEPAGE
+  // Before any byte is touched: a page faulted in 4 KiB stays 4 KiB.
+  const std::size_t whole = size / kHugePageBytes * kHugePageBytes;
+  if (::madvise(data_, whole, MADV_HUGEPAGE) == 0) hugepage_bytes_ = whole;
+#endif
+}
 
 std::string_view to_string(StateLayout layout) noexcept {
   return layout == StateLayout::kWide ? "wide" : "compact";
@@ -41,7 +92,7 @@ BinState::BinState(std::uint32_t n, StateLayout layout)
     loads_.assign(n, 0);
     nonempty_pos_.assign(n, 0);
   } else {
-    lanes_.assign(n, 0);
+    lanes_ = LaneSlab(n);
   }
   levels_.reset(n);
 }
@@ -136,7 +187,7 @@ const std::vector<std::uint32_t>& BinState::loads() const {
 
 std::vector<std::uint32_t> BinState::copy_loads() const {
   if (layout_ == StateLayout::kWide) return loads_;
-  std::vector<std::uint32_t> out(lanes_.begin(), lanes_.end());
+  std::vector<std::uint32_t> out(lanes_.data(), lanes_.data() + lanes_.size());
   for (const auto& [bin, l] : overflow_) out[bin] = l;
   return out;
 }
@@ -214,7 +265,7 @@ void BinState::clear() noexcept {
   if (layout_ == StateLayout::kWide) {
     std::fill(loads_.begin(), loads_.end(), 0u);
   } else {
-    std::fill(lanes_.begin(), lanes_.end(), std::uint8_t{0});
+    std::memset(lanes_.data(), 0, lanes_.size());
     overflow_.clear();
     compact_promotions_ = 0;
     compact_demotions_ = 0;

@@ -74,6 +74,7 @@
 ///     agree on load(i) and every metric at every step;
 ///   * clear() is indistinguishable from fresh construction.
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <optional>
@@ -94,6 +95,45 @@ class BatchPlacer;
 enum class StateLayout : std::uint8_t {
   kWide,     ///< 32-bit loads + nonempty-bin index (historical default)
   kCompact,  ///< 8-bit lanes + 32-bit overflow side-table; ~1 byte per bin
+};
+
+/// The compact layout's lane slab: `size` zero-initialized bytes behind a
+/// plain pointer. Every greedy[2] probe of a slab larger than the LLC is
+/// a random DRAM access, and on 4 KiB pages each one also misses the TLB
+/// and walks the page table. So slabs of at least kHugePageBytes are
+/// allocated 2 MiB-aligned and advised MADV_HUGEPAGE *before* the zero
+/// fill (pages touched before the advice stay 4 KiB). Only the whole-2 MiB
+/// prefix is advised, so a slab just past a multiple of 2 MiB gains no
+/// huge-page tail of RSS. The advice is best effort: a kernel with
+/// transparent huge pages off declines it and the slab stays correct on
+/// 4 KiB pages — hugepage_bytes() reports what was accepted. Smaller slabs
+/// are a plain operator new.
+class LaneSlab {
+ public:
+  static constexpr std::size_t kHugePageBytes = std::size_t{1} << 21;
+
+  LaneSlab() noexcept = default;
+  explicit LaneSlab(std::size_t size);
+  LaneSlab(const LaneSlab& other);
+  LaneSlab(LaneSlab&& other) noexcept;
+  LaneSlab& operator=(LaneSlab other) noexcept;
+  ~LaneSlab();
+
+  [[nodiscard]] std::uint8_t& operator[](std::size_t i) noexcept { return data_[i]; }
+  [[nodiscard]] std::uint8_t operator[](std::size_t i) const noexcept { return data_[i]; }
+  [[nodiscard]] std::uint8_t* data() noexcept { return data_; }
+  [[nodiscard]] const std::uint8_t* data() const noexcept { return data_; }
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  /// Bytes of the slab the kernel accepted MADV_HUGEPAGE advice for.
+  [[nodiscard]] std::size_t hugepage_bytes() const noexcept { return hugepage_bytes_; }
+
+ private:
+  /// Uninitialized storage for `size` bytes (advised when huge).
+  void allocate(std::size_t size);
+
+  std::uint8_t* data_ = nullptr;
+  std::size_t size_ = 0;
+  std::size_t hugepage_bytes_ = 0;
 };
 
 /// Canonical spelling ("wide" / "compact") for CLIs and JSON records.
@@ -345,6 +385,18 @@ class BinState {
   [[nodiscard]] std::uint64_t compact_demotions() const noexcept {
     return compact_demotions_;
   }
+  /// Compact layout: bytes of the lane slab backed by transparent huge
+  /// pages (see LaneSlab) — core.state.hugepage_bytes. 0 for small slabs,
+  /// the wide layout, or a kernel that declined the advice.
+  [[nodiscard]] std::uint64_t hugepage_bytes() const noexcept {
+    return lanes_.hugepage_bytes();
+  }
+
+  /// The compact lane slab — the batch kernel's vector operand (snapshot
+  /// gathers and the saturation guard). Compact layout only.
+  [[nodiscard]] const std::uint8_t* compact_lanes() const noexcept {
+    return lanes_.data();
+  }
 
  private:
   /// The batch placement kernel (core/batch_kernel.hpp) commits validated
@@ -436,12 +488,6 @@ class BinState {
     m.phi += m.pow_tab[l + 1] - m.pow_tab[l];
   }
 
-  /// The compact lane slab — the batch kernel's vector operand (snapshot
-  /// gathers and the saturation guard). Compact layout only.
-  [[nodiscard]] const std::uint8_t* compact_lanes() const noexcept {
-    return lanes_.data();
-  }
-
   /// Histogram of bin loads for one group of bins, with incremental
   /// max/min. A move of one bin from level `from` to `to` rescans at most
   /// |to - from| levels, so cost is O(1) amortized per unit of weight.
@@ -525,7 +571,7 @@ class BinState {
   std::uint32_t n_ = 0;
   StateLayout layout_ = StateLayout::kWide;
   std::vector<std::uint32_t> loads_;  // wide layout only
-  std::vector<std::uint8_t> lanes_;   // compact layout only
+  LaneSlab lanes_;                    // compact layout only
   /// Compact layout: loads of the (rare) bins promoted past the 8-bit lane.
   std::unordered_map<std::uint32_t, std::uint32_t> overflow_;
   std::uint64_t balls_ = 0;

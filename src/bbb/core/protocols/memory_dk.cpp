@@ -8,8 +8,9 @@ namespace bbb::core {
 MemoryDKRule::MemoryDKRule(std::uint32_t d, std::uint32_t k) : d_(d), k_(k) {
   if (d == 0) throw std::invalid_argument("MemoryDKRule: d must be positive");
   if (k == 0) throw std::invalid_argument("MemoryDKRule: k must be positive");
-  memory_.reserve(k);
-  candidates_.reserve(d + k);
+  // No reserve sized by the spec: memory holds distinct bins, never more
+  // than min(k, n), so memory[1,4294967295] must not ask for 16 GiB up
+  // front. The buffers grow to their steady-state size within a few balls.
 }
 
 std::string MemoryDKRule::name() const {

@@ -20,6 +20,7 @@ void CoreCounters::accumulate(const CoreCounters& other) noexcept {
   batch_waves += other.batch_waves;
   batch_fast_balls += other.batch_fast_balls;
   batch_fallback_balls += other.batch_fallback_balls;
+  hugepage_bytes += other.hugepage_bytes;
 }
 
 CoreCounters harvest(const core::StreamingAllocator& alloc) {
@@ -47,6 +48,7 @@ CoreCounters harvest(const core::PlacementRule& rule, const core::BinState* stat
   if (state != nullptr) {
     c.compact_promotions = state->compact_promotions();
     c.compact_demotions = state->compact_demotions();
+    c.hugepage_bytes = state->hugepage_bytes();
   }
   return c;
 }
@@ -92,6 +94,9 @@ void fold_into(MetricsRegistry& registry, const CoreCounters& counters) {
     registry.add_counter("core.batch.fast_balls", counters.batch_fast_balls);
     registry.add_counter("core.batch.fallback_balls",
                          counters.batch_fallback_balls);
+  }
+  if (counters.hugepage_bytes != 0) {
+    registry.add_counter("core.state.hugepage_bytes", counters.hugepage_bytes);
   }
 }
 

@@ -24,6 +24,7 @@
 ///   core.batch.waves                 batch-kernel waves processed
 ///   core.batch.fast_balls            balls committed by the vector path
 ///   core.batch.fallback_balls        balls re-run on the exact scalar path
+///   core.state.hugepage_bytes        compact lane slab bytes on huge pages
 ///   shard.sync_rounds                synchronized rounds, summed over shards
 ///   shard.probe.cross_shard          probes routed to another shard's bins
 ///   shard.ball.deferred              balls replayed in the cleanup sub-phase
@@ -55,6 +56,9 @@ struct CoreCounters {
   std::uint64_t batch_waves = 0;
   std::uint64_t batch_fast_balls = 0;
   std::uint64_t batch_fallback_balls = 0;
+  // Cold: a property of the state's allocation, read once per run;
+  // appended last so the per-run counters above keep their offsets.
+  std::uint64_t hugepage_bytes = 0;
 
   /// Element-wise sum (fold across replicates).
   void accumulate(const CoreCounters& other) noexcept;
@@ -64,7 +68,8 @@ struct CoreCounters {
 
 /// Read every counter a StreamingAllocator exposes: the rule's probe and
 /// placement counts, its lookahead (when it has one), the state's compact
-/// side-table traffic, and the allocator's explode fallbacks. O(1).
+/// side-table traffic and huge-page backing, and the allocator's explode
+/// fallbacks. O(1).
 [[nodiscard]] CoreCounters harvest(const core::StreamingAllocator& alloc);
 
 /// Harvest from a bare rule + state pair (the batch adapter's shape).

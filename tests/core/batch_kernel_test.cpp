@@ -97,15 +97,21 @@ TEST(BatchKernel, LockstepAcrossBatchSizesOneToSixtyFour) {
 }
 
 TEST(BatchKernel, LockstepAroundWaveBoundaries) {
-  // kWaveWords = 256 words is 128 greedy[2]/left[2] balls or 256
-  // one-choice balls per wave; straddle both boundaries and a multi-wave
-  // run. Small n forces dense in-wave duplicates — the live-lane commit
-  // must serialize them exactly as the scalar stream does.
-  const std::uint64_t sizes[] = {127, 128, 129, 255, 256, 257, 1000};
+  // A wave is kWaveWords words: kWaveWords / 2 greedy[2]/left[2] balls or
+  // kWaveWords one-choice balls. Straddle both boundaries, the prefetch
+  // warm-up (the fill prefetches the first kPrefetchWords words, the walk
+  // the rest — kD / 2 two-word balls or kD one-choice balls), and a
+  // multi-wave run for every family. Small n forces dense in-wave
+  // duplicates — the live-lane commit must serialize them exactly as the
+  // scalar stream does.
+  constexpr std::uint64_t kW = BatchPlacer::kWaveWords;
+  constexpr std::uint64_t kD = BatchPlacer::kPrefetchWords;
   for (const Family& family : kFamilies) {
     for (const std::uint32_t n : {2u, 5u, 64u, 4096u}) {
-      for (const std::uint64_t m : sizes) {
-        expect_lockstep(family, n, m, /*seed=*/7 * n + m);
+      for (const std::uint64_t edge : {kD / 2, kD, kW / 2, kW, 2 * kW + kD / 2}) {
+        for (const std::uint64_t m : {edge - 1, edge, edge + 1}) {
+          expect_lockstep(family, n, m, /*seed=*/7 * n + m);
+        }
       }
     }
   }

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 #include <vector>
 
@@ -232,6 +233,58 @@ TEST(BinStateLayout, CompactClearEqualsFresh) {
   EXPECT_EQ(used.copy_loads(), fresh.copy_loads());
   used.add_ball(1, 2);  // and it keeps working after the reset
   EXPECT_EQ(used.load(1), 2u);
+}
+
+// Slabs of 2 MiB and up take the huge-page allocation path (2 MiB-aligned,
+// MADV_HUGEPAGE on the whole-page prefix): storage only, so compact must
+// still match wide under random weighted place/remove, across clear(),
+// and through a copy. n = 2^21 + 3 leaves a 3-byte tail past the advised
+// prefix; n = 2^22 is exactly two huge pages.
+TEST(BinStateLayout, HugePageSlabLockstep) {
+  constexpr std::size_t kPage = LaneSlab::kHugePageBytes;
+  for (const std::uint32_t n : {(1u << 21) + 3, 1u << 22}) {
+    BinState wide(n, StateLayout::kWide);
+    BinState compact(n, StateLayout::kCompact);
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(compact.compact_lanes()) % kPage, 0u);
+    // Either the kernel accepted the advice for exactly the whole pages,
+    // or (THP off) declined it.
+    const std::uint64_t hp = compact.hugepage_bytes();
+    EXPECT_TRUE(hp == 0 || hp == n / kPage * kPage) << hp;
+    EXPECT_EQ(wide.hugepage_bytes(), 0u);
+
+    rng::Engine gen(n);
+    for (std::uint32_t step = 0; step < 20000; ++step) {
+      // Every fourth event hits the last 8 bins (the unadvised tail when
+      // n = 2^21 + 3) with weights that promote them past the lane limit.
+      const bool tail = step % 4 == 0;
+      const auto bin = static_cast<std::uint32_t>(
+          tail ? n - 1 - rng::uniform_below(gen, 8) : rng::uniform_below(gen, n));
+      const std::uint32_t l = wide.load(bin);
+      if (l > 0 && rng::uniform_below(gen, 3) == 0) {
+        const auto r = static_cast<std::uint32_t>(1 + rng::uniform_below(gen, l));
+        wide.remove_ball(bin, r);
+        compact.remove_ball(bin, r);
+      } else {
+        const auto w = static_cast<std::uint32_t>(1 + rng::uniform_below(gen, 96));
+        wide.add_ball(bin, w);
+        compact.add_ball(bin, w);
+      }
+    }
+    EXPECT_GT(compact.compact_promotions(), 0u);
+    expect_lockstep(wide, compact);
+
+    const BinState copy = compact;
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(copy.compact_lanes()) % kPage, 0u);
+    expect_lockstep(wide, copy);
+
+    wide.clear();
+    compact.clear();
+    expect_lockstep(wide, compact);
+    expect_lockstep(BinState(n, StateLayout::kCompact), compact);
+    EXPECT_EQ(compact.hugepage_bytes(), hp);  // clear() keeps the slab
+  }
+  const BinState small(static_cast<std::uint32_t>(kPage - 1), StateLayout::kCompact);
+  EXPECT_EQ(small.hugepage_bytes(), 0u);
 }
 
 // Identical placements, not just identical metrics: every probing rule

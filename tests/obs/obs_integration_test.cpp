@@ -198,6 +198,28 @@ TEST(ObsIntegration, CompactTierReportsLookaheadAndSideTableTraffic) {
   EXPECT_EQ(s.obs.find("state.compact.promotions"), nullptr);
 }
 
+TEST(ObsIntegration, CompactTierReportsHugePageBacking) {
+  // A 4 MiB lane slab per replicate takes the huge-page allocation path.
+  // Whether the kernel accepts the advice depends on its THP mode, so the
+  // harvested counter is checked against what a twin state got: the sum
+  // over replicates, and absent when nothing was accepted.
+  sim::ExperimentConfig cfg;
+  cfg.protocol_spec = "greedy[2]";
+  cfg.m = 1u << 12;
+  cfg.n = 1u << 22;
+  cfg.replicates = 2;
+  cfg.seed = 42;
+  cfg.layout = core::StateLayout::kCompact;
+  cfg.obs.level = obs::ObsLevel::kCounters;
+  const sim::RunSummary s = sim::run_experiment(cfg);
+  const core::BinState twin(cfg.n, core::StateLayout::kCompact);
+  EXPECT_EQ(s.obs.counter_value("core.state.hugepage_bytes"), 2 * twin.hugepage_bytes());
+  // A slab below 2 MiB never asks for huge pages.
+  cfg.n = 1u << 12;
+  const sim::RunSummary small = sim::run_experiment(cfg);
+  EXPECT_EQ(small.obs.find("core.state.hugepage_bytes"), nullptr);
+}
+
 TEST(ObsIntegration, TraceFileIsWellFormedEndToEnd) {
   const std::string path = ::testing::TempDir() + "obs_integration_trace.jsonl";
   {

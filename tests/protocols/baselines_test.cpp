@@ -9,6 +9,7 @@
 #include "bbb/core/protocols/left_d.hpp"
 #include "bbb/core/protocols/memory_dk.hpp"
 #include "bbb/core/protocols/one_choice.hpp"
+#include "bbb/core/protocols/registry.hpp"
 #include "bbb/rng/streams.hpp"
 #include "bbb/stats/running_stats.hpp"
 
@@ -143,6 +144,23 @@ TEST(MemoryDK, BeatsOneChoiceAtMEqualsN) {
   const double mem = mean_max_load(MemoryDKProtocol{1, 1}, n, n, 10, 11);
   EXPECT_LT(mem, one);
   EXPECT_LE(mem, 4.0);  // theory: ln ln n / (2 ln phi_2) + O(1)
+}
+
+TEST(MemoryDK, HugeKSaturatesAtN) {
+  // Memory holds distinct bins, so any k >= n behaves as k = n. A k near
+  // 2^32 once died in the constructor's spec-sized reserve (bad_alloc).
+  constexpr std::uint32_t n = 16;
+  auto huge = make_rule("memory[1,4294967295]", n);
+  auto sat = make_rule("memory[1,16]", n);
+  BinState huge_state(n);
+  BinState sat_state(n);
+  rng::Engine g1(21);
+  rng::Engine g2(21);
+  for (int i = 0; i < 64; ++i) {
+    ASSERT_EQ(huge->place_one(huge_state, g1), sat->place_one(sat_state, g2))
+        << "ball " << i;
+  }
+  EXPECT_EQ(huge_state.loads(), sat_state.loads());
 }
 
 TEST(MemoryDK, Validation) {
