@@ -10,7 +10,7 @@
 #include <cstdio>
 #include <string>
 
-#include "bbb/core/protocols/batched.hpp"
+#include "bbb/core/protocols/registry.hpp"
 #include "bbb/io/argparse.hpp"
 #include "bbb/io/table.hpp"
 #include "bbb/rng/xoshiro256.hpp"
@@ -31,9 +31,8 @@ int main(int argc, char** argv) {
   const auto capacity = static_cast<std::uint32_t>(args.get_u64("capacity"));
   const auto format = bbb::io::parse_format(args.get_string("format"));
 
-  bbb::core::BatchedProtocol::Params params;
-  params.capacity = capacity;
-  const bbb::core::BatchedProtocol protocol(params);
+  const auto protocol =
+      bbb::core::make_protocol("batched[" + std::to_string(capacity) + "]");
 
   bbb::io::Table table({"n", "rounds", "log*(n)", "messages", "messages/n", "max load"});
   table.set_title("batched parallel allocation, m = n, capacity " +
@@ -41,7 +40,7 @@ int main(int argc, char** argv) {
   for (std::uint32_t e = lo; e <= hi; ++e) {
     const std::uint64_t n = std::uint64_t{1} << e;
     bbb::rng::Engine gen(args.get_u64("seed") + e);
-    const auto res = protocol.run(n, static_cast<std::uint32_t>(n), gen);
+    const auto res = protocol->run(n, static_cast<std::uint32_t>(n), gen);
     std::uint32_t max_load = 0;
     for (auto l : res.loads) max_load = std::max(max_load, l);
     table.begin_row();

@@ -7,10 +7,12 @@
 ///  * streaming rules (`PlacementRule::place_one` places one ball into a
 ///    shared `BinState`) — what an application embeds and the dyn engine
 ///    drives;
-///  * `Protocol` (this file) — type-erased batch interface the simulator
-///    sweeps over: `run(m, n, gen)` allocates m balls into n fresh bins,
-///    implemented as the place_one loop (`run_rule`) for every sequential
-///    protocol.
+///  * `Protocol` (this file) — type-erased batch interface over a spec
+///    string: `run(m, n, gen)` allocates m balls into n fresh bins. There
+///    are exactly two implementations, both built by `make_protocol`
+///    (core/protocols/registry.hpp): the generic one, whose run() is
+///    `make_streaming_allocator(spec, n, m)` + `run_batch(m)` over a wide
+///    state, and `shard::ShardedProtocol` for `shards[t]:` specs.
 ///
 /// Notation (Section 2 of the paper): m balls, n bins, average load m/n;
 /// `AllocationResult::probes` is the paper's *allocation time* — the total
@@ -71,7 +73,7 @@ class Protocol {
   return m / n + (m % n != 0 ? 1 : 0);
 }
 
-/// Shared argument validation for run() implementations.
+/// Shared argument validation for the two run() implementations.
 void validate_run_args(std::uint64_t m, std::uint32_t n);
 
 }  // namespace bbb::core

@@ -29,7 +29,6 @@
 ///     batch-equivalent to the adaptive protocol (bench_dyn_churn measures
 ///     the separation once balls leave).
 
-#include "bbb/core/protocol.hpp"
 #include "bbb/core/rule.hpp"
 
 namespace bbb::core {
@@ -71,19 +70,6 @@ class AdaptiveRule final : public PlacementRule {
   // each time a stage of n placements completes (no division per ball).
   std::uint64_t bound_;
   std::uint32_t stage_fill_ = 0;
-};
-
-/// Batch protocol wrapper: adaptive (slack 1 = the paper's Figure 1).
-class AdaptiveProtocol final : public Protocol {
- public:
-  explicit AdaptiveProtocol(std::uint32_t slack = 1);
-
-  [[nodiscard]] std::string name() const override;
-  [[nodiscard]] AllocationResult run(std::uint64_t m, std::uint32_t n,
-                                     rng::Engine& gen) const override;
-
- private:
-  std::uint32_t slack_;
 };
 
 }  // namespace bbb::core

@@ -9,9 +9,11 @@
 
 namespace bbb::core {
 
-BatchedRule::BatchedRule(std::uint32_t capacity) : capacity_(capacity) {
-  if (capacity == 0) {
-    throw std::invalid_argument("BatchedRule: capacity must be positive");
+BatchedRule::BatchedRule(std::uint32_t capacity, std::uint32_t max_rounds,
+                         std::uint32_t max_fanout)
+    : capacity_(capacity), max_rounds_(max_rounds), max_fanout_(max_fanout) {
+  if (capacity == 0 || max_rounds == 0 || max_fanout == 0) {
+    throw std::invalid_argument("BatchedRule: capacity/max_rounds/max_fanout > 0");
   }
 }
 
@@ -34,31 +36,24 @@ std::uint32_t BatchedRule::do_place(BinState& state, std::uint32_t /*weight*/,
   return bin;
 }
 
-BatchedProtocol::BatchedProtocol(Params params) : params_(params) {
-  if (params_.capacity == 0 || params_.max_rounds == 0 || params_.max_fanout == 0) {
-    throw std::invalid_argument("BatchedProtocol: capacity/max_rounds/max_fanout > 0");
+void BatchedRule::do_run_batch(BinState& state, std::uint64_t m, rng::Engine& gen,
+                               const BatchProgress& progress) {
+  if (state.layout() != StateLayout::kWide || !state.capacities().empty()) {
+    PlacementRule::do_run_batch(state, m, gen, progress);
+    return;
   }
-}
-
-std::string BatchedProtocol::name() const {
-  return "batched[" + std::to_string(params_.capacity) + "]";
-}
-
-AllocationResult BatchedProtocol::run(std::uint64_t m, std::uint32_t n,
-                                      rng::Engine& gen) const {
-  validate_run_args(m, n);
-  if (m > static_cast<std::uint64_t>(params_.capacity) * n) {
+  const std::uint32_t n = state.n();
+  const std::uint64_t slots = static_cast<std::uint64_t>(capacity_) * n;
+  if (state.balls() > slots || m > slots - state.balls()) {
     throw std::invalid_argument(
-        "BatchedProtocol: m exceeds capacity * n, allocation impossible");
+        "BatchedRule: m exceeds capacity * n, allocation impossible");
   }
-
-  AllocationResult res;
-  res.loads.assign(n, 0);
-  if (m == 0) return res;
+  if (m == 0) return;
 
   std::vector<std::uint64_t> unplaced(m);
   for (std::uint64_t i = 0; i < m; ++i) unplaced[i] = i;
   std::vector<char> placed(m, 0);
+  std::uint64_t placed_count = 0;
 
   // Per-bin requester lists, rebuilt each round. `touched` tracks which bins
   // to clear so a sparse late round does not pay O(n).
@@ -67,8 +62,8 @@ AllocationResult BatchedProtocol::run(std::uint64_t m, std::uint32_t n,
   touched.reserve(std::min<std::uint64_t>(n, 4 * m));
 
   std::uint32_t fanout = 1;
-  for (std::uint32_t round = 1; round <= params_.max_rounds; ++round) {
-    res.rounds = round;
+  for (std::uint32_t round = 1; round <= max_rounds_; ++round) {
+    rounds_ = round;
 
     for (std::uint32_t b : touched) requesters[b].clear();
     touched.clear();
@@ -77,7 +72,7 @@ AllocationResult BatchedProtocol::run(std::uint64_t m, std::uint32_t n,
     for (std::uint64_t ball : unplaced) {
       for (std::uint32_t j = 0; j < fanout; ++j) {
         const auto bin = static_cast<std::uint32_t>(rng::uniform_below(gen, n));
-        ++res.probes;
+        ++probes_;
         if (requesters[bin].empty()) touched.push_back(bin);
         requesters[bin].push_back(ball);
       }
@@ -90,8 +85,8 @@ AllocationResult BatchedProtocol::run(std::uint64_t m, std::uint32_t n,
     // acknowledging exactly one acceptance.
     for (std::uint32_t bin : touched) {
       auto& req = requesters[bin];
-      std::uint32_t spare =
-          params_.capacity > res.loads[bin] ? params_.capacity - res.loads[bin] : 0;
+      const std::uint32_t load = state.load(bin);
+      std::uint32_t spare = capacity_ > load ? capacity_ - load : 0;
       if (spare == 0) continue;
       // Fisher-Yates shuffle for a uniformly random acceptance order.
       for (std::size_t i = req.size(); i > 1; --i) {
@@ -101,23 +96,19 @@ AllocationResult BatchedProtocol::run(std::uint64_t m, std::uint32_t n,
       for (std::uint64_t ball : req) {
         if (placed[ball]) continue;  // duplicate request or accepted elsewhere
         placed[ball] = 1;
-        ++res.loads[bin];
-        ++res.balls;
+        state.add_ball(bin);
+        ++placed_count;
         if (--spare == 0) break;
       }
     }
 
-    if (res.balls == m) {
-      res.completed = true;
-      return res;
-    }
-
+    if (placed_count == m) break;
     std::erase_if(unplaced, [&](std::uint64_t ball) { return placed[ball] != 0; });
-    fanout = std::min(fanout * 2, params_.max_fanout);
+    fanout = std::min(fanout * 2, max_fanout_);
   }
 
-  res.completed = unplaced.empty();
-  return res;
+  total_placed_ += placed_count;
+  completed_ = completed_ && placed_count == m;
 }
 
 }  // namespace bbb::core

@@ -14,27 +14,33 @@
 /// The protocol cannot place more than capacity * n balls; configurations
 /// violating that are rejected up-front.
 ///
-/// Streaming reading (`BatchedRule`): one ball at a time there are no
-/// rounds, so the rule keeps the defining ingredient — the hard per-bin
-/// `capacity` — and probes uniform bins until one with spare capacity
-/// accepts. This is the capacity-bounded retry a serving system would run;
-/// departures re-open capacity, and a fully saturated system is detected
-/// in O(1) and reported by throwing instead of spinning. Because the batch
-/// form is round-synchronous over the whole ball set, batched is the one
-/// rule whose `Protocol::run` is *not* the place_one loop
-/// (`batch_equivalent() == false`).
+/// Streaming reading: one ball at a time there are no rounds, so place_one
+/// keeps the defining ingredient — the hard per-bin `capacity` — and probes
+/// uniform bins until one with spare capacity accepts. This is the
+/// capacity-bounded retry a serving system would run; departures re-open
+/// capacity, and a fully saturated system is detected in O(1) and reported
+/// by throwing instead of spinning.
+///
+/// Batch reading: `run_batch` on a wide state without capacities runs the
+/// LW rounds above over the whole ball set (rounds() = rounds used);
+/// compact and `capacities=` states run the streaming form (rounds() = 0).
+/// Batched is therefore the one rule whose batch hook is *not* the place
+/// loop (`batch_equivalent() == false`).
 
-#include "bbb/core/protocol.hpp"
 #include "bbb/core/rule.hpp"
 
 namespace bbb::core {
 
-/// Streaming capacity-bounded rule: accept any probed bin with load <
-/// capacity.
+/// Capacity-bounded rule: accept any probed bin with load < capacity; in
+/// batch on a wide uniform state, the LW rounds.
 class BatchedRule final : public PlacementRule {
  public:
-  /// \throws std::invalid_argument if capacity == 0.
-  explicit BatchedRule(std::uint32_t capacity);
+  /// \param capacity max balls a bin will accept in total;
+  /// \param max_rounds LW rounds before the batch gives up (completed() is
+  ///        then false); \param max_fanout cap on per-ball requests per round.
+  /// \throws std::invalid_argument if any parameter is 0.
+  explicit BatchedRule(std::uint32_t capacity, std::uint32_t max_rounds = 64,
+                       std::uint32_t max_fanout = 64);
 
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] bool batch_equivalent() const noexcept override { return false; }
@@ -46,38 +52,18 @@ class BatchedRule final : public PlacementRule {
   std::uint32_t do_place(BinState& state, std::uint32_t weight,
                          rng::Engine& gen) override;
 
+  /// The LW rounds on a wide state without capacities (probes() counts
+  /// every request message); the streaming form elsewhere. Rounds are not
+  /// chunked, so `progress` is not called on the LW path.
+  /// \throws std::invalid_argument on the LW path if m exceeds the free
+  ///         capacity (allocation impossible).
+  void do_run_batch(BinState& state, std::uint64_t m, rng::Engine& gen,
+                    const BatchProgress& progress) override;
+
  private:
   std::uint32_t capacity_;
-};
-
-/// Batch protocol: the synchronous LW rounds (see file comment).
-class BatchedProtocol final : public Protocol {
- public:
-  struct Params {
-    std::uint32_t capacity = 2;     ///< max balls a bin will accept in total
-    std::uint32_t max_rounds = 64;  ///< give up after this many rounds
-    std::uint32_t max_fanout = 64;  ///< cap on per-ball requests per round
-  };
-
-  /// \throws std::invalid_argument if capacity == 0, max_rounds == 0, or
-  ///         max_fanout == 0.
-  explicit BatchedProtocol(Params params);
-  BatchedProtocol() : BatchedProtocol(Params{}) {}
-
-  [[nodiscard]] std::string name() const override;
-
-  /// AllocationResult::rounds is the number of rounds used;
-  /// AllocationResult::probes counts every request message;
-  /// completed == false if max_rounds elapsed with balls still unplaced
-  /// (res.balls then reports how many were placed).
-  /// \throws std::invalid_argument if m > capacity * n (impossible).
-  [[nodiscard]] AllocationResult run(std::uint64_t m, std::uint32_t n,
-                                     rng::Engine& gen) const override;
-
-  [[nodiscard]] const Params& params() const noexcept { return params_; }
-
- private:
-  Params params_;
+  std::uint32_t max_rounds_;
+  std::uint32_t max_fanout_;
 };
 
 }  // namespace bbb::core

@@ -20,7 +20,6 @@
 
 #include <vector>
 
-#include "bbb/core/protocol.hpp"
 #include "bbb/core/rule.hpp"
 
 namespace bbb::core {
@@ -81,21 +80,6 @@ class CuckooRule final : public PlacementRule {
   std::vector<std::uint32_t> choices_;                 // d per item, flattened
   std::vector<std::uint64_t> free_ids_;                // recycled item ids
   std::uint64_t stash_ = 0;
-};
-
-/// Batch protocol wrapper: inserts m items; completed == false if any
-/// insertion failed. reallocations reports evictions.
-class CuckooProtocol final : public Protocol {
- public:
-  explicit CuckooProtocol(CuckooRule::Params params);
-  CuckooProtocol() : CuckooProtocol(CuckooRule::Params{}) {}
-
-  [[nodiscard]] std::string name() const override;
-  [[nodiscard]] AllocationResult run(std::uint64_t m, std::uint32_t n,
-                                     rng::Engine& gen) const override;
-
- private:
-  CuckooRule::Params params_;
 };
 
 }  // namespace bbb::core

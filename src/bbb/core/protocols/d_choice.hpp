@@ -8,7 +8,6 @@
 
 #include "bbb/core/batch_kernel.hpp"
 #include "bbb/core/probe.hpp"
-#include "bbb/core/protocol.hpp"
 #include "bbb/core/rule.hpp"
 
 namespace bbb::core {
@@ -47,20 +46,6 @@ class DChoiceRule final : public PlacementRule {
   std::uint32_t d_;
   ProbeLookahead lookahead_;
   BatchPlacer batch_;
-};
-
-/// Batch protocol wrapper: greedy[d].
-class DChoiceProtocol final : public Protocol {
- public:
-  /// \throws std::invalid_argument if d == 0.
-  explicit DChoiceProtocol(std::uint32_t d);
-
-  [[nodiscard]] std::string name() const override;
-  [[nodiscard]] AllocationResult run(std::uint64_t m, std::uint32_t n,
-                                     rng::Engine& gen) const override;
-
- private:
-  std::uint32_t d_;
 };
 
 }  // namespace bbb::core

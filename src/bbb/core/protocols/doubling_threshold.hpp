@@ -17,7 +17,6 @@
 /// so sustained churn keeps widening the bound — the same pathology the
 /// adaptive total-count variant exhibits, measured in bench_dyn_churn.
 
-#include "bbb/core/protocol.hpp"
 #include "bbb/core/rule.hpp"
 
 namespace bbb::core {
@@ -45,19 +44,6 @@ class DoublingThresholdRule final : public PlacementRule {
   std::uint64_t initial_guess_;
   std::uint64_t guess_;
   std::uint32_t bound_;
-};
-
-/// Batch wrapper: doubling-threshold[initial_guess] (0 = default n).
-class DoublingThresholdProtocol final : public Protocol {
- public:
-  explicit DoublingThresholdProtocol(std::uint64_t initial_guess = 0);
-
-  [[nodiscard]] std::string name() const override;
-  [[nodiscard]] AllocationResult run(std::uint64_t m, std::uint32_t n,
-                                     rng::Engine& gen) const override;
-
- private:
-  std::uint64_t initial_guess_;
 };
 
 }  // namespace bbb::core

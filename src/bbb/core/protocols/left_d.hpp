@@ -12,7 +12,6 @@
 
 #include "bbb/core/batch_kernel.hpp"
 #include "bbb/core/probe.hpp"
-#include "bbb/core/protocol.hpp"
 #include "bbb/core/rule.hpp"
 #include "bbb/rng/alias_table.hpp"
 
@@ -63,20 +62,6 @@ class LeftDRule final : public PlacementRule {
   BatchPlacer batch_;
   std::vector<rng::AliasTable> group_samplers_;  // lazily built, heterogeneous only
   const BinState* sampled_state_ = nullptr;      // the state the tables were built for
-};
-
-/// Batch protocol wrapper: left[d].
-class LeftDProtocol final : public Protocol {
- public:
-  /// \throws std::invalid_argument if d == 0.
-  explicit LeftDProtocol(std::uint32_t d);
-
-  [[nodiscard]] std::string name() const override;
-  [[nodiscard]] AllocationResult run(std::uint64_t m, std::uint32_t n,
-                                     rng::Engine& gen) const override;
-
- private:
-  std::uint32_t d_;
 };
 
 }  // namespace bbb::core

@@ -7,7 +7,6 @@
 
 #include "bbb/core/batch_kernel.hpp"
 #include "bbb/core/probe.hpp"
-#include "bbb/core/protocol.hpp"
 #include "bbb/core/rule.hpp"
 
 namespace bbb::core {
@@ -42,14 +41,6 @@ class OneChoiceRule final : public PlacementRule {
  private:
   ProbeLookahead lookahead_;
   BatchPlacer batch_;
-};
-
-/// Batch protocol wrapper.
-class OneChoiceProtocol final : public Protocol {
- public:
-  [[nodiscard]] std::string name() const override { return "one-choice"; }
-  [[nodiscard]] AllocationResult run(std::uint64_t m, std::uint32_t n,
-                                     rng::Engine& gen) const override;
 };
 
 }  // namespace bbb::core

@@ -2,14 +2,20 @@
 /// \file registry.hpp
 /// String-spec factory for the one rule vocabulary spanning batch and
 /// dynamic execution. A spec is a name plus optional bracketed integer
-/// arguments; both factories parse the same grammar:
+/// arguments. Every factory is one n-independent parse (the only family
+/// dispatch; it validates every argument that can be checked without n)
+/// followed, where a rule is needed, by one bind step to (n, m_hint):
 ///
-///   * `make_rule(spec, n, m_hint)` builds the streaming decision rule —
-///     what the dyn engine, the tracer, and every embedding application
-///     consume;
-///   * `make_protocol(spec)` builds the batch `Protocol` wrapper whose
-///     run() drives the same rule over m fresh balls (bit-for-bit equal
-///     to the place_one loop for every rule with batch_equivalent()).
+///   * `make_rule(spec, n, m_hint)` = parse + bind: the streaming decision
+///     rule — what the tracer and every embedding application consume;
+///   * `make_streaming_allocator(spec, n, m_hint, layout)` = parse + bind
+///     + the matching BinState — what the dyn engine and sim replicates
+///     drive;
+///   * `make_protocol(spec)` = parse only (no rule, no state): the batch
+///     `Protocol`, whose run(m, n, gen) is
+///     `make_streaming_allocator(spec, n, m)` + the rule's batch hook
+///     `run_batch(m)` over a wide state — or `shard::ShardedProtocol` for
+///     `shards[t]:` specs.
 ///
 /// `Protocol::name()` / `PlacementRule::name()` of every built instance
 /// parses back to an equivalent object (round-trip property, tested).
@@ -62,7 +68,8 @@
 
 namespace bbb::core {
 
-/// Build a batch protocol from a spec string.
+/// Build a batch protocol from a spec string. Only parses: limits that
+/// depend on n (left[d] with d > n, ...) are checked by run().
 /// \throws std::invalid_argument for unknown names or malformed/missing args.
 [[nodiscard]] std::unique_ptr<Protocol> make_protocol(const std::string& spec);
 

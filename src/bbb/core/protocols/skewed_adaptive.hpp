@@ -12,7 +12,6 @@
 /// the degradation curve; the takeaway is that Theorem 3.1's O(m) leans on
 /// near-uniform sampling while the load guarantee does not.
 
-#include "bbb/core/protocol.hpp"
 #include "bbb/core/rule.hpp"
 #include "bbb/rng/zipf.hpp"
 
@@ -38,20 +37,6 @@ class SkewedAdaptiveRule final : public PlacementRule {
   rng::ZipfDist zipf_;
   std::uint32_t bound_ = 1;
   std::uint32_t stage_fill_ = 0;
-};
-
-/// Batch wrapper: skewed-adaptive[s*100] in registry specs (integer arg).
-class SkewedAdaptiveProtocol final : public Protocol {
- public:
-  /// \param s_times_100 Zipf exponent scaled by 100 (e.g. 50 -> s = 0.5).
-  explicit SkewedAdaptiveProtocol(std::uint32_t s_times_100);
-
-  [[nodiscard]] std::string name() const override;
-  [[nodiscard]] AllocationResult run(std::uint64_t m, std::uint32_t n,
-                                     rng::Engine& gen) const override;
-
- private:
-  std::uint32_t s_times_100_;
 };
 
 }  // namespace bbb::core

@@ -26,7 +26,6 @@
 /// broadcast counter is monotone); like the adaptive total-count variant,
 /// the bound therefore drifts upward under sustained churn.
 
-#include "bbb/core/protocol.hpp"
 #include "bbb/core/rule.hpp"
 
 namespace bbb::core {
@@ -55,19 +54,6 @@ class StaleAdaptiveRule final : public PlacementRule {
   std::uint32_t delta_;
   std::uint64_t published_ = 0;
   std::uint32_t bound_ = 1;  // bound for the first ball: ceil(1/n) = 1
-};
-
-/// Batch wrapper: stale-adaptive[delta].
-class StaleAdaptiveProtocol final : public Protocol {
- public:
-  explicit StaleAdaptiveProtocol(std::uint32_t delta);
-
-  [[nodiscard]] std::string name() const override;
-  [[nodiscard]] AllocationResult run(std::uint64_t m, std::uint32_t n,
-                                     rng::Engine& gen) const override;
-
- private:
-  std::uint32_t delta_;
 };
 
 }  // namespace bbb::core

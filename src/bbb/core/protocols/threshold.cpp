@@ -40,24 +40,4 @@ std::uint32_t ThresholdRule::do_place(BinState& state, std::uint32_t /*weight*/,
   return bin;
 }
 
-ThresholdProtocol::ThresholdProtocol(std::uint32_t slack) : slack_(slack) {}
-
-std::string ThresholdProtocol::name() const {
-  return slack_ == 1 ? "threshold" : "threshold[" + std::to_string(slack_) + "]";
-}
-
-AllocationResult ThresholdProtocol::run(std::uint64_t m, std::uint32_t n,
-                                        rng::Engine& gen) const {
-  validate_run_args(m, n);
-  // m == 0 with slack 0 must stay legal at the batch API (nothing to
-  // place), so skip rule construction for the empty run.
-  if (m == 0) {
-    AllocationResult res;
-    res.loads.assign(n, 0);
-    return res;
-  }
-  ThresholdRule rule(n, m, slack_);
-  return run_rule(rule, m, n, gen);
-}
-
 }  // namespace bbb::core

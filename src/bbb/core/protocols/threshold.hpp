@@ -21,7 +21,6 @@
 /// capacity; if the population ever exceeds what the fixed bound admits,
 /// place_one detects the deadlock in O(1) and throws instead of spinning.
 
-#include "bbb/core/protocol.hpp"
 #include "bbb/core/rule.hpp"
 
 namespace bbb::core {
@@ -52,19 +51,6 @@ class ThresholdRule final : public PlacementRule {
   std::uint64_t m_;
   std::uint32_t slack_;
   std::uint32_t bound_;
-};
-
-/// Batch protocol wrapper: threshold (slack 1 = the paper's Figure 2).
-class ThresholdProtocol final : public Protocol {
- public:
-  explicit ThresholdProtocol(std::uint32_t slack = 1);
-
-  [[nodiscard]] std::string name() const override;
-  [[nodiscard]] AllocationResult run(std::uint64_t m, std::uint32_t n,
-                                     rng::Engine& gen) const override;
-
- private:
-  std::uint32_t slack_;
 };
 
 }  // namespace bbb::core

@@ -1,5 +1,6 @@
 #include "bbb/core/rule.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -21,6 +22,20 @@ void PlacementRule::do_place_batch(BinState& state, std::uint64_t count,
     const std::uint32_t bin = place_one(state, gen);
     if (bins_out != nullptr) bins_out[i] = bin;
   }
+}
+
+void PlacementRule::do_run_batch(BinState& state, std::uint64_t m, rng::Engine& gen,
+                                 const BatchProgress& progress) {
+  if (!progress) {
+    place_batch(state, m, gen);
+  } else {
+    for (std::uint64_t i = 0; i < m; i += kBatchProgressStride) {
+      const std::uint64_t chunk = std::min(kBatchProgressStride, m - i);
+      place_batch(state, chunk, gen);
+      progress(i + chunk);
+    }
+  }
+  finalize(state, gen);
 }
 
 void PlacementRule::throw_bad_weight(std::uint32_t weight) const {
@@ -45,47 +60,6 @@ void validate_rule_n(const PlacementRule& rule, std::uint32_t n) {
 
 }  // namespace
 
-AllocationResult run_rule(PlacementRule& rule, std::uint64_t m, std::uint32_t n,
-                          rng::Engine& gen) {
-  validate_run_args(m, n);
-  BinState state(n);
-  return run_rule(rule, m, state, gen);
-}
-
-AllocationResult run_rule(PlacementRule& rule, std::uint64_t m, BinState& state,
-                          rng::Engine& gen) {
-  validate_run_args(m, state.n());
-  validate_rule_n(rule, state.n());
-  // The batch loop is the engine's only consumer, so probing rules may
-  // read the raw word stream ahead and prefetch candidate bins; consumed
-  // words — and every allocation — are unchanged (see core/probe.hpp).
-  // Revoked on every exit (including a throwing place_one): a caller who
-  // reuses the rule with a different engine must not consume this
-  // engine's buffered residue.
-  struct ExclusiveGuard {
-    PlacementRule& rule;
-    ~ExclusiveGuard() { rule.set_engine_exclusive(false); }
-  } guard{rule};
-  rule.set_engine_exclusive(true);
-  // One batched call: identical to the historical place_one loop for
-  // every rule (the base do_place_batch IS that loop), and the entry
-  // point of the vector batch kernel for the rules/states that have one.
-  rule.place_batch(state, m, gen);
-  rule.finalize(state, gen);
-  AllocationResult res;
-  // copy_loads works in either layout (same one copy the by-value member
-  // always cost), so a compact-state batch run materializes its result
-  // instead of throwing after all the placement work. The memory-lean
-  // giant-scale path is the streaming one (sim/runner.cpp), not this.
-  res.loads = state.copy_loads();
-  res.balls = state.balls();
-  res.probes = rule.probes();
-  res.reallocations = rule.reallocations();
-  res.rounds = rule.rounds();
-  res.completed = rule.completed();
-  return res;
-}
-
 StreamingAllocator::StreamingAllocator(std::uint32_t n,
                                        std::unique_ptr<PlacementRule> rule)
     : StreamingAllocator(BinState(n), std::move(rule)) {}
@@ -100,6 +74,17 @@ StreamingAllocator::StreamingAllocator(BinState state,
     throw std::invalid_argument("StreamingAllocator: rule must not be null");
   }
   validate_rule_n(*rule_, state_.n());
+}
+
+AllocationResult StreamingAllocator::result() const {
+  AllocationResult res;
+  res.loads = state_.copy_loads();
+  res.balls = state_.balls();
+  res.probes = rule_->probes();
+  res.reallocations = rule_->reallocations();
+  res.rounds = rule_->rounds();
+  res.completed = rule_->completed();
+  return res;
 }
 
 std::uint32_t StreamingAllocator::place_weighted(std::uint32_t weight,

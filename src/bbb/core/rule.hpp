@@ -3,13 +3,16 @@
 /// The single streaming core every protocol in the library is expressed
 /// in: a `PlacementRule` places one ball at a time into a shared
 /// `BinState` (`place_one`), carrying only its *rule-local* state (memory
-/// cache, threshold phase, recorded choices, cuckoo residents). Batch and
-/// dynamic execution are two drivers over the same vocabulary:
+/// cache, threshold phase, recorded choices, cuckoo residents). One driver,
+/// `StreamingAllocator`, pairs one rule with one BinState and serves both
+/// kinds of execution:
 ///
-///   * batch — `run_rule` (and every `Protocol::run`) loops `place_one`
-///     over m fresh balls and reads the result off the BinState;
-///   * dynamic — `StreamingAllocator` pairs one rule with one BinState and
-///     adds `remove()` so the dyn engine can interleave departures.
+///   * batch — `run_batch(m)` places m fresh balls through the rule's one
+///     batch hook (`place_batch(m)` + `finalize` for every rule but
+///     batched[k], whose wide form is the LW rounds); every `Protocol::run`
+///     and every sim replicate is this call;
+///   * dynamic — `place()` / `remove()` so the dyn engine can interleave
+///     departures.
 ///
 /// Contract of `place_one`:
 ///   * places exactly one ball of the given integer weight (state.balls()
@@ -25,8 +28,9 @@
 ///
 /// Three self-describing traits keep the drivers honest:
 ///   * `batch_equivalent()` — false for rules whose batch form is not the
-///     plain place_one loop: batched (round-synchronous LW rounds) and
-///     self-balancing (post-placement balancing sweeps in `finalize`);
+///     plain place_one loop: batched (round-synchronous LW rounds on a wide
+///     state) and self-balancing (post-placement balancing sweeps in
+///     `finalize`);
 ///   * `stable_ball_identity()` — false for reallocation-based rules
 ///     (cuckoo) that move balls after placement; the dyn engine then
 ///     selects departure victims by bin occupancy instead of ball
@@ -39,6 +43,7 @@
 ///     fallback lives here and in dyn/engine.cpp, not per-rule.
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 
@@ -51,6 +56,12 @@ namespace bbb::core {
 
 class BatchPlacer;
 class ProbeLookahead;
+
+/// Optional observer of a long batch run (sim heartbeats): called with the
+/// number of balls placed so far after each chunk of up to
+/// kBatchProgressStride balls. It must not touch the engine or the state.
+using BatchProgress = std::function<void(std::uint64_t placed)>;
+inline constexpr std::uint64_t kBatchProgressStride = std::uint64_t{1} << 16;
 
 /// One streaming decision rule. Instances are single-run: a rule carries
 /// placement state (probe counters, caches) and must not be shared across
@@ -97,6 +108,17 @@ class PlacementRule {
     do_place_batch(state, count, gen, bins_out);
   }
 
+  /// The batch form of `m` fresh arrivals — the one hook every batch
+  /// driver calls once per run (Protocol::run, sim replicates). Default:
+  /// place_batch(m) then finalize, with `progress` (when set) called
+  /// between place_batch chunks of kBatchProgressStride balls; chunking
+  /// never changes a placement. Only batched[k] overrides it (the LW
+  /// rounds on a wide uniform state, see protocols/batched.hpp).
+  void run_batch(BinState& state, std::uint64_t m, rng::Engine& gen,
+                 const BatchProgress& progress = {}) {
+    do_run_batch(state, m, gen, progress);
+  }
+
   /// Driver promise that this rule is the engine's *only* consumer until
   /// further notice (a batch place_one loop, the tracer, a benchmark — but
   /// NOT the dyn engine, which draws workload events and victim picks from
@@ -119,7 +141,7 @@ class PlacementRule {
   /// drivers never call this. Default: nothing.
   virtual void finalize(BinState& state, rng::Engine& gen);
 
-  /// True when `Protocol::run` is exactly the place_one loop, so an
+  /// True when `run_batch` is exactly the place_one loop, so an
   /// arrivals-only stream reproduces the batch result bit-for-bit.
   [[nodiscard]] virtual bool batch_equivalent() const noexcept { return true; }
 
@@ -174,6 +196,10 @@ class PlacementRule {
   virtual void do_place_batch(BinState& state, std::uint64_t count,
                               rng::Engine& gen, std::uint32_t* bins_out);
 
+  /// The batch hook behind run_batch (see there for the default).
+  virtual void do_run_batch(BinState& state, std::uint64_t m, rng::Engine& gen,
+                            const BatchProgress& progress);
+
   /// The decision rule proper: pick a bin, mutate `state` (adding the full
   /// `weight` there), count probes. Rules without `supports_weights()` are
   /// only ever called with weight == 1 (guarded in place_one).
@@ -190,22 +216,9 @@ class PlacementRule {
   bool completed_ = true;
 };
 
-/// The thin batch adapter: m balls through `rule` into a fresh BinState,
-/// then `finalize`, then the counters read back into an AllocationResult.
-/// Every sequential `Protocol::run` in core/protocols/ is this function.
-[[nodiscard]] AllocationResult run_rule(PlacementRule& rule, std::uint64_t m,
-                                        std::uint32_t n, rng::Engine& gen);
-
-/// Batch adapter over a caller-provided state — how heterogeneous
-/// capacities enter a batch run (`capacities=...:` protocol specs build
-/// the capacitated BinState and drive the same loop). `state` is used as
-/// given (not cleared); the result reads the state after `finalize`.
-[[nodiscard]] AllocationResult run_rule(PlacementRule& rule, std::uint64_t m,
-                                        BinState& state, rng::Engine& gen);
-
-/// One rule bound to one BinState — the streaming front-end applications
-/// and the dyn engine embed. place() allocates one ball with the rule's
-/// decision logic; remove() processes one departure.
+/// One rule bound to one BinState — the one driver of the library.
+/// Applications and the dyn engine stream through place() / remove();
+/// batch runs (Protocol::run, sim replicates) call run_batch() once.
 class StreamingAllocator {
  public:
   /// \throws std::invalid_argument if n == 0 (via BinState).
@@ -240,6 +253,17 @@ class StreamingAllocator {
   /// sweeps) — how a streaming driver reproduces `Protocol::run` exactly
   /// for rules whose batch form is the place loop plus finalize.
   void finalize(rng::Engine& gen) { rule_->finalize(state_, gen); }
+
+  /// Place m fresh balls through the rule's batch hook
+  /// (PlacementRule::run_batch): what `Protocol::run` and every sim
+  /// replicate execute.
+  void run_batch(std::uint64_t m, rng::Engine& gen, const BatchProgress& progress = {}) {
+    rule_->run_batch(state_, m, gen, progress);
+  }
+
+  /// The state and the rule's counters as an AllocationResult. O(n): it
+  /// copies the loads (either layout).
+  [[nodiscard]] AllocationResult result() const;
 
   /// Allocate one weight-w ball. Atomic (whole chain into the returned
   /// bin) when the rule supports weights; otherwise the centralized

@@ -4,6 +4,7 @@
 #include <deque>
 #include <stdexcept>
 
+#include "bbb/core/protocols/registry.hpp"
 #include "bbb/obs/trace_sink.hpp"
 #include "bbb/par/parallel_for.hpp"
 #include "bbb/rng/streams.hpp"
@@ -70,8 +71,8 @@ DynReplicate run_dynamic_replicate(const DynConfig& config,
   if (config.events == 0) {
     throw std::invalid_argument("run_dynamic: events must be positive");
   }
-  const auto alloc = make_streaming_allocator(config.allocator_spec, config.n,
-                                              config.m_hint, config.layout);
+  const auto alloc = core::make_streaming_allocator(config.allocator_spec, config.n,
+                                                    config.m_hint, config.layout);
   const auto workload = make_workload(config.workload_spec, config.n);
   rng::Engine gen = rng::SeedSequence(config.seed).engine(replicate_index);
 
@@ -145,7 +146,7 @@ DynReplicate run_dynamic_replicate(const DynConfig& config,
     if (e > config.warmup) {
       const double weight = ev.time - prev_time;
       weight_sum += weight;
-      const BinState& state = alloc->state();
+      const core::BinState& state = alloc->state();
       balls_sum += weight * static_cast<double>(state.balls());
       psi_sum += weight * state.psi();
       gap_sum += weight * static_cast<double>(state.gap());
@@ -208,7 +209,7 @@ DynReplicate run_dynamic_replicate(const DynConfig& config,
     if (heartbeats && (e & 0xFFF) == 0 && heartbeat.due()) {
       // Wall-clock progress signal for long churn runs (warmup included —
       // that is exactly when a giant run looks hung). Observational only.
-      const BinState& state = alloc->state();
+      const core::BinState& state = alloc->state();
       obs::JsonLine line("heartbeat", "dyn");
       line.field("replicate", static_cast<std::uint64_t>(replicate_index))
           .field("done", e)
@@ -224,7 +225,7 @@ DynReplicate run_dynamic_replicate(const DynConfig& config,
     }
     if (e <= config.warmup) continue;
 
-    const BinState& state = alloc->state();
+    const core::BinState& state = alloc->state();
     const std::uint64_t measured = e - config.warmup;
     if (measured % stride == 0 || measured == config.events) {
       DynSnapshot snap;
@@ -272,8 +273,8 @@ DynSummary run_dynamic(const DynConfig& config, par::ThreadPool& pool) {
   }
   // Validate both specs (and capture canonical names) before spawning work.
   const std::string alloc_name =
-      make_streaming_allocator(config.allocator_spec, config.n, config.m_hint,
-                               config.layout)
+      core::make_streaming_allocator(config.allocator_spec, config.n, config.m_hint,
+                                     config.layout)
           ->name();
   const std::string workload_name = make_workload(config.workload_spec, config.n)->name();
 

@@ -30,7 +30,7 @@
 #include <string>
 #include <vector>
 
-#include "bbb/dyn/allocator.hpp"
+#include "bbb/core/rule.hpp"
 #include "bbb/dyn/workload.hpp"
 #include "bbb/obs/harvest.hpp"
 #include "bbb/obs/obs.hpp"

@@ -53,15 +53,6 @@ CoreCounters harvest(const core::PlacementRule& rule, const core::BinState* stat
   return c;
 }
 
-CoreCounters harvest(const core::AllocationResult& result) {
-  CoreCounters c;
-  c.probes = result.probes;
-  c.balls_placed = result.balls;
-  c.reallocations = result.reallocations;
-  c.rounds = result.rounds;
-  return c;
-}
-
 void fold_into(MetricsRegistry& registry, const CoreCounters& counters) {
   registry.add_counter("core.probe.count", counters.probes);
   registry.add_counter("core.ball.placed", counters.balls_placed);

@@ -33,7 +33,6 @@
 
 #include <cstdint>
 
-#include "bbb/core/protocol.hpp"
 #include "bbb/core/rule.hpp"
 #include "bbb/obs/metrics.hpp"
 #include "bbb/shard/counters.hpp"
@@ -72,15 +71,10 @@ struct CoreCounters {
 /// fallbacks. O(1).
 [[nodiscard]] CoreCounters harvest(const core::StreamingAllocator& alloc);
 
-/// Harvest from a bare rule + state pair (the batch adapter's shape).
+/// Harvest from a bare rule + state pair (a shard's rule and state).
 /// `state` may be null when only rule-side counters exist.
 [[nodiscard]] CoreCounters harvest(const core::PlacementRule& rule,
                                    const core::BinState* state);
-
-/// The subset an AllocationResult carries (the wide batch path runs whole
-/// protocols whose rule internals are not exposed): probes, placed weight,
-/// reallocations, rounds.
-[[nodiscard]] CoreCounters harvest(const core::AllocationResult& result);
 
 /// Fold into `registry` under the canonical names above. Zero-valued
 /// counters with no possible source are still registered when their

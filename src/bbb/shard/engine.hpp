@@ -197,8 +197,8 @@ class ShardedAllocator {
   std::unique_ptr<Mesh> mesh_;
 };
 
-/// Batch Protocol wrapper so `shards[t]:spec` slots into the registry and
-/// the wide sim path: run() builds a fresh wide-layout engine per call.
+/// Batch Protocol wrapper so `shards[t]:spec` slots into the registry
+/// (make_protocol): run() builds a fresh wide-layout engine per call.
 /// Note the batch form of shards[1]:spec is the *streaming* form of the
 /// inner rule (place loop + finalize) — for batched[capacity], whose
 /// batch form is the LW rounds, the sharded spelling is therefore its

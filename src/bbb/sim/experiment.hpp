@@ -38,13 +38,13 @@ struct ExperimentConfig {
   std::uint32_t n = 1;                     ///< bins
   std::uint32_t replicates = 20;           ///< independent runs
   std::uint64_t seed = 42;                 ///< master seed
-  /// BinState storage layout. kWide is the historical batch path
-  /// (Protocol::run, bit-for-bit the classic results). kCompact is the
-  /// giant-scale tier: replicates stream place_one over an 8-bit-lane
-  /// state and read the incremental metrics — same allocations for every
-  /// rule whose batch form is the place loop (the one exception, batched[
-  /// capacity], runs its streaming capacity-bounded form), at ~1 byte per
-  /// bin so n = 2^30 fits in ~1 GiB.
+  /// BinState storage layout — a plain parameter of the one replicate
+  /// path (make_streaming_allocator + run_batch + incremental metrics).
+  /// Records are identical in both layouts except for batched[capacity],
+  /// whose batch hook runs the LW rounds only on kWide (rounds >= 1) and
+  /// its streaming capacity-bounded form on kCompact. kCompact stores
+  /// ~1 byte per bin, so n = 2^30 fits in ~1 GiB, and runs the SIMD batch
+  /// kernel for one-choice / greedy[2] / left[2].
   core::StateLayout layout = core::StateLayout::kWide;
   /// Execution tier. Tier::kLaw replaces the per-ball simulation with the
   /// law tier's exact profile sampler (same SeedSequence-derived engines,

@@ -1,10 +1,8 @@
 #include "bbb/sim/runner.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <stdexcept>
 
-#include "bbb/core/metrics.hpp"
 #include "bbb/core/protocols/registry.hpp"
 #include "bbb/core/spec.hpp"
 #include "bbb/law/one_choice.hpp"
@@ -32,13 +30,11 @@ double RunSummary::probes_per_ball() const {
 
 namespace {
 
-/// The giant-scale replicate path: stream place_one over a compact-layout
-/// BinState and read the incremental metrics — no 32-bit load vector, no
-/// O(n) metric rescan, so n = 2^30 fits in ~1 GiB. Allocations are
-/// bit-for-bit the wide batch result for every rule whose Protocol::run
-/// is the place loop (all of them except batched[capacity], which runs
-/// its streaming capacity-bounded form here); finalize() reproduces the
-/// batch-only post-passes (self-balancing sweeps).
+/// The exact-tier replicate path, for either layout: one streaming
+/// allocator, one run_batch call (the rule's batch hook: place_batch +
+/// finalize, or batched[k]'s LW rounds on a wide state), then the
+/// incremental metrics read off the state — no O(n) rescan, so compact
+/// n = 2^30 fits in ~1 GiB.
 ReplicateRecord run_streaming_replicate(const ExperimentConfig& config,
                                         std::uint32_t replicate_index) {
   const auto start = std::chrono::steady_clock::now();
@@ -47,30 +43,22 @@ ReplicateRecord run_streaming_replicate(const ExperimentConfig& config,
   rng::Engine gen = rng::SeedSequence(config.seed).engine(replicate_index);
   alloc->set_engine_exclusive(true);
   if (config.obs.full_on() && config.obs.sink && config.obs.heartbeat_seconds > 0) {
-    // Heartbeat variant of the place loop, kept out of the default path so
-    // --obs=off (and plain --obs=counters) runs the bare loop below. The
-    // wall-clock poll sits behind a 64Ki-ball stride; heartbeats observe
-    // (balls done, current gap) and never touch `gen`.
+    // Heartbeats observe (balls done, current gap) between place_batch
+    // chunks and never touch `gen`, so placements are unchanged; the
+    // default path passes no observer and places the whole batch at once.
     obs::Heartbeat heartbeat(config.obs.heartbeat_seconds);
-    // The heartbeat stride doubles as the batch size: placements are
-    // bit-identical to the place() loop (see PlacementRule::place_batch),
-    // and kernel-capable rules vectorize each 64Ki chunk.
-    for (std::uint64_t i = 0; i < config.m; i += 0x10000) {
-      const std::uint64_t chunk = std::min<std::uint64_t>(0x10000, config.m - i);
-      alloc->place_batch(chunk, gen);
-      if (heartbeat.due()) {
-        obs::JsonLine line("heartbeat", "sim");
-        line.field("replicate", static_cast<std::uint64_t>(replicate_index))
-            .field("done", i + chunk)
-            .field("total", config.m)
-            .field("gap", static_cast<std::uint64_t>(alloc->state().gap()));
-        config.obs.sink->write(std::move(line));
-      }
-    }
+    alloc->run_batch(config.m, gen, [&](std::uint64_t done) {
+      if (!heartbeat.due()) return;
+      obs::JsonLine line("heartbeat", "sim");
+      line.field("replicate", static_cast<std::uint64_t>(replicate_index))
+          .field("done", done)
+          .field("total", config.m)
+          .field("gap", static_cast<std::uint64_t>(alloc->state().gap()));
+      config.obs.sink->write(std::move(line));
+    });
   } else {
-    alloc->place_batch(config.m, gen);
+    alloc->run_batch(config.m, gen);
   }
-  alloc->finalize(gen);
 
   const core::BinState& state = alloc->state();
   const core::PlacementRule& rule = alloc->rule();
@@ -189,34 +177,7 @@ ReplicateRecord run_replicate(const ExperimentConfig& config,
     return run_sharded_replicate(config, prefix.shards, prefix.rest,
                                  replicate_index);
   }
-  if (config.layout != core::StateLayout::kWide) {
-    return run_streaming_replicate(config, replicate_index);
-  }
-  const auto start = std::chrono::steady_clock::now();
-  const auto protocol = core::make_protocol(config.protocol_spec);
-  rng::Engine gen = rng::SeedSequence(config.seed).engine(replicate_index);
-  const core::AllocationResult result = protocol->run(config.m, config.n, gen);
-
-  ReplicateRecord rec;
-  rec.probes = static_cast<double>(result.probes);
-  rec.reallocations = static_cast<double>(result.reallocations);
-  rec.rounds = static_cast<double>(result.rounds);
-  rec.completed = result.completed;
-  const core::LoadMetrics metrics =
-      core::compute_metrics(result.loads, result.balls);
-  rec.max_load = metrics.max;
-  rec.min_load = metrics.min;
-  rec.gap = metrics.gap;
-  rec.psi = metrics.psi;
-  rec.log_phi = metrics.log_phi;
-  if (config.obs.counters_on()) {
-    // The wide batch path runs an opaque Protocol::run, so only the
-    // result-level counters exist here (no lookahead/side-table internals
-    // — and no mid-replicate heartbeats; the streaming layout has both).
-    rec.counters = obs::harvest(result);
-    rec.wall_ns = elapsed_ns(start);
-  }
-  return rec;
+  return run_streaming_replicate(config, replicate_index);
 }
 
 RunSummary run_experiment(const ExperimentConfig& config, par::ThreadPool& pool) {

@@ -18,11 +18,12 @@
 
 #include "bbb/core/protocol.hpp"
 #include "bbb/core/protocols/registry.hpp"
-#include "bbb/dyn/allocator.hpp"
 #include "bbb/rng/streams.hpp"
 
 namespace bbb::dyn {
 namespace {
+
+using core::make_streaming_allocator;
 
 struct Shape {
   std::uint64_t m;
@@ -49,8 +50,8 @@ void expect_bitwise_equal(const std::string& spec, Shape shape, std::uint64_t se
   const core::AllocationResult batch = protocol->run(shape.m, shape.n, batch_gen);
 
   // The m hint binds fixed-bound rules (threshold) to the same total the
-  // batch run received. Engine exclusivity matches the batch adapter
-  // (run_rule promises it too), so rules with a probe lookahead read
+  // batch run received. Engine exclusivity matches Protocol::run
+  // (which promises it too), so rules with a probe lookahead read
   // ahead identically on both sides — this sweep is also the end-to-end
   // proof that the lookahead's FIFO buffering changes no consumed word.
   const auto alloc = make_streaming_allocator(spec, shape.n, shape.m);

@@ -12,6 +12,7 @@
 #include "bbb/obs/obs.hpp"
 #include "bbb/obs/trace_sink.hpp"
 #include "bbb/sim/runner.hpp"
+#include "../support/concrete_specs.hpp"
 
 namespace bbb {
 namespace {
@@ -129,32 +130,8 @@ TEST(ObsIntegration, EveryRegistryFamilyAccountsProbesAndBalls) {
   // placed balls through the same two counters. One replicate per family.
   // protocol_specs() lists parameterized templates; instantiate each with
   // small concrete arguments — and fail loudly when a new family appears
-  // without a row here.
-  const std::map<std::string, std::string> concrete{
-      {"one-choice", "one-choice"},
-      {"greedy[d]", "greedy[2]"},
-      {"left[d]", "left[2]"},
-      {"memory[d,k]", "memory[1,1]"},
-      {"threshold", "threshold"},
-      {"threshold[slack]", "threshold[1]"},
-      {"doubling-threshold[guess]", "doubling-threshold[4]"},
-      {"adaptive", "adaptive"},
-      {"adaptive[slack]", "adaptive[1]"},
-      {"adaptive-net", "adaptive-net"},
-      {"adaptive-net[slack]", "adaptive-net[1]"},
-      {"adaptive-total", "adaptive-total"},
-      {"adaptive-total[slack]", "adaptive-total[1]"},
-      {"stale-adaptive[delta]", "stale-adaptive[8]"},
-      {"skewed-adaptive[s*100]", "skewed-adaptive[50]"},
-      {"batched[capacity]", "batched[64]"},
-      {"self-balancing", "self-balancing"},
-      // Half-load cuckoo (capacity 2 * m): at load factor 1.0 the kick
-      // budget can run out and park arrivals in the stash, which is
-      // accounted as placed < m.
-      {"cuckoo[d,k]", "cuckoo[2,16]"},
-      {"capacities=c0,c1,...:spec", "capacities=1,2:greedy[2]"},
-      {"shards[t]:spec", "shards[2]:greedy[2]"},
-  };
+  // without a row.
+  const std::map<std::string, std::string>& concrete = test::concrete_protocol_specs();
   std::vector<std::string> specs;
   for (const std::string& tmpl : core::protocol_specs()) {
     ASSERT_TRUE(concrete.count(tmpl) == 1)

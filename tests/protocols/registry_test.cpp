@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "bbb/rng/xoshiro256.hpp"
 
 namespace bbb::core {
@@ -84,14 +86,65 @@ TEST(Registry, InvalidParametersPropagate) {
 }
 
 TEST(Registry, BothFactoriesAgreeOnBatchedArgs) {
-  // Overflowing capacities are rejected, not truncated, and arity errors
-  // are the same on the batch and streaming sides of the registry.
-  EXPECT_THROW((void)make_protocol("batched[4294967297]"), std::invalid_argument);
-  EXPECT_THROW((void)make_rule("batched[4294967297]", 8), std::invalid_argument);
-  EXPECT_THROW((void)make_protocol("batched[2,9]"), std::invalid_argument);
-  EXPECT_THROW((void)make_rule("batched[2,9]", 8), std::invalid_argument);
+  // One grammar across the factories: every spec either builds in both the
+  // batch factory and the streaming one (at n = 64, where no n-dependent
+  // limit bites) under the same canonical name, or both reject it with
+  // std::invalid_argument. Overflowing arguments are rejected, not
+  // truncated; arity and zero-count errors are caught by the parse alone.
+  struct Case {
+    const char* spec;
+    bool valid;
+  };
+  const Case cases[] = {
+      {"one-choice", true},           {"one-choice[1]", false},
+      {"greedy[2]", true},            {"greedy[0]", false},
+      {"greedy", false},              {"greedy[4294967297]", false},
+      {"left[2]", true},              {"left[0]", false},
+      {"memory[1,1]", true},          {"memory[0,1]", false},
+      {"memory[1,0]", false},         {"memory[1]", false},
+      {"threshold", true},            {"threshold[0]", true},
+      {"threshold[1,2]", false},      {"doubling-threshold", true},
+      {"doubling-threshold[7]", true}, {"doubling-threshold[1,2]", false},
+      {"adaptive", true},             {"adaptive[0]", true},
+      {"adaptive-net[2]", true},      {"adaptive-total[1,2]", false},
+      {"stale-adaptive[4]", true},    {"stale-adaptive[0]", false},
+      {"skewed-adaptive[50]", true},  {"skewed-adaptive", false},
+      {"batched", true},              {"batched[2]", true},
+      {"batched[0]", false},          {"batched[2,9]", false},
+      {"batched[4294967297]", false}, {"self-balancing", true},
+      {"self-balancing[2]", false},   {"cuckoo[2,4]", true},
+      {"cuckoo[0,4]", false},         {"cuckoo[2,0]", false},
+      {"capacities=1,2:greedy[2]", true},
+      {"capacities=1,2:greedy[0]", false},
+      {"capacities=0:greedy[2]", false},
+      {"shards[2]:capacities=1,2:greedy[2]", false},
+      {"weighted:greedy[2]", false},  {"nonsense", false},
+  };
+  for (const Case& c : cases) {
+    if (c.valid) {
+      std::unique_ptr<Protocol> protocol;
+      std::unique_ptr<StreamingAllocator> alloc;
+      EXPECT_NO_THROW(protocol = make_protocol(c.spec)) << c.spec;
+      EXPECT_NO_THROW(alloc = make_streaming_allocator(c.spec, 64)) << c.spec;
+      if (protocol && alloc) {
+        EXPECT_EQ(protocol->name(), alloc->name()) << c.spec;
+      }
+    } else {
+      EXPECT_THROW((void)make_protocol(c.spec), std::invalid_argument) << c.spec;
+      EXPECT_THROW((void)make_streaming_allocator(c.spec, 64), std::invalid_argument)
+          << c.spec;
+    }
+  }
   EXPECT_EQ(make_protocol("batched")->name(), "batched[2]");
   EXPECT_EQ(make_rule("batched", 8)->name(), "batched[2]");
+}
+
+TEST(Registry, ProtocolRunChecksNDependentLimits) {
+  // make_protocol parses only; limits that need n surface at run().
+  const auto protocol = make_protocol("left[9]");
+  rng::Engine gen(1);
+  EXPECT_THROW((void)protocol->run(10, 8, gen), std::invalid_argument);  // d > n
+  EXPECT_NO_THROW((void)protocol->run(10, 9, gen));
 }
 
 TEST(Registry, SpecListNonEmptyAndDocumentsShapes) {

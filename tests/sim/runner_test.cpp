@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
+#include "bbb/core/protocols/registry.hpp"
+#include "bbb/obs/trace_sink.hpp"
 #include "bbb/par/thread_pool.hpp"
+#include "../support/concrete_specs.hpp"
 
 namespace bbb::sim {
 namespace {
@@ -106,6 +112,76 @@ TEST(Runner, Validation) {
   cfg = small_config();
   cfg.protocol_spec = "bogus";
   EXPECT_THROW((void)run_experiment(cfg), std::invalid_argument);
+}
+
+TEST(Runner, LayoutIsAPlainParameter) {
+  // One replicate path serves both layouts, so every registry family
+  // yields the same record at wide and at compact, field for field. The
+  // one exception is batched[k]: its batch hook runs the LW rounds on a
+  // wide state (rounds >= 1) and the streaming form on a compact one
+  // (rounds = 0). At this load one LW round places every ball in the bin
+  // it requested, as the streaming form's first probe does.
+  const auto& concrete = test::concrete_protocol_specs();
+  for (const std::string& tmpl : core::protocol_specs()) {
+    ASSERT_EQ(concrete.count(tmpl), 1u) << "registry family '" << tmpl << "' has no row";
+    ExperimentConfig cfg;
+    cfg.protocol_spec = concrete.at(tmpl);
+    cfg.m = 4'096;
+    cfg.n = 512;
+    cfg.seed = 42;
+    cfg.layout = core::StateLayout::kWide;
+    const ReplicateRecord wide = run_replicate(cfg, 1);
+    cfg.layout = core::StateLayout::kCompact;
+    const ReplicateRecord compact = run_replicate(cfg, 1);
+    const std::string& spec = cfg.protocol_spec;
+    EXPECT_EQ(wide.probes, compact.probes) << spec;
+    EXPECT_EQ(wide.max_load, compact.max_load) << spec;
+    EXPECT_EQ(wide.min_load, compact.min_load) << spec;
+    EXPECT_EQ(wide.gap, compact.gap) << spec;
+    EXPECT_EQ(wide.psi, compact.psi) << spec;
+    EXPECT_EQ(wide.log_phi, compact.log_phi) << spec;
+    EXPECT_EQ(wide.reallocations, compact.reallocations) << spec;
+    EXPECT_EQ(wide.completed, compact.completed) << spec;
+    EXPECT_EQ(wide.counters, compact.counters) << spec;
+    EXPECT_EQ(wide.wall_ns, compact.wall_ns) << spec;
+    if (spec.rfind("batched[", 0) == 0) {
+      EXPECT_GE(wide.rounds, 1.0) << spec;
+      EXPECT_EQ(compact.rounds, 0.0) << spec;
+    } else {
+      EXPECT_EQ(wide.rounds, compact.rounds) << spec;
+    }
+  }
+}
+
+TEST(Runner, HeartbeatsLeaveRecordsUnchanged) {
+  // Heartbeats observe run_batch between chunks of kBatchProgressStride
+  // balls; the chunked placements equal the one-call batch in either
+  // layout, so the records match the uninstrumented run exactly.
+  const std::string path = ::testing::TempDir() + "runner_heartbeat.jsonl";
+  for (const core::StateLayout layout :
+       {core::StateLayout::kWide, core::StateLayout::kCompact}) {
+    ExperimentConfig cfg;
+    cfg.protocol_spec = "greedy[2]";
+    cfg.m = 3 * core::kBatchProgressStride + 5;
+    cfg.n = 4'096;
+    cfg.replicates = 2;
+    cfg.layout = layout;
+    const RunSummary off = run_experiment(cfg);
+    cfg.obs.level = obs::ObsLevel::kFull;
+    cfg.obs.sink = obs::TraceSink::open(path);
+    cfg.obs.heartbeat_seconds = 1e-9;  // due at every chunk boundary
+    const RunSummary beating = run_experiment(cfg);
+    // run_start + 2 replicate lines + summary, plus the heartbeats.
+    EXPECT_GT(cfg.obs.sink->records_written(), 4u) << core::to_string(layout);
+    ASSERT_EQ(off.records.size(), beating.records.size());
+    for (std::size_t r = 0; r < off.records.size(); ++r) {
+      EXPECT_EQ(off.records[r].probes, beating.records[r].probes);
+      EXPECT_EQ(off.records[r].max_load, beating.records[r].max_load);
+      EXPECT_EQ(off.records[r].psi, beating.records[r].psi);
+      EXPECT_EQ(off.records[r].log_phi, beating.records[r].log_phi);
+    }
+  }
+  std::remove(path.c_str());
 }
 
 TEST(Runner, DescribeMentionsKeyFields) {

@@ -196,8 +196,16 @@ def check_golden_pin_coverage(root):
                 text = "\n".join(read_lines(path))
                 if "GoldenPins" in text:
                     pin_texts.append(text)
+    families = registry_families(root)
+    if not families:
+        # Fail closed: a dispatch reshaped past REGISTRY_FAMILY_RE would
+        # otherwise make every family silently "covered".
+        return [("src/bbb/core/protocols/registry.cpp", 1, "golden-pin-coverage",
+                 "no protocol families found — the scan no longer matches the "
+                 "registry's dispatch; update REGISTRY_FAMILY_RE in "
+                 "tools/bbb_lint.py")]
     violations = []
-    for family in registry_families(root):
+    for family in families:
         if not any(family in text for text in pin_texts):
             violations.append(("src/bbb/core/protocols/registry.cpp", 1,
                                "golden-pin-coverage",

@@ -9,7 +9,6 @@
 #include <cstdio>
 #include <string>
 
-#include "bbb/core/metrics.hpp"
 #include "bbb/core/protocols/registry.hpp"
 #include "bbb/core/spec.hpp"
 #include "bbb/io/argparse.hpp"
@@ -20,6 +19,7 @@
 #include "bbb/rng/streams.hpp"
 #include "bbb/shard/engine.hpp"
 #include "bbb/sim/runner.hpp"
+#include "bbb/stats/histogram.hpp"
 
 int main(int argc, char** argv) {
   bbb::io::ArgParser args("bbb_sim", "run one protocol experiment and summarize it");
@@ -121,17 +121,11 @@ int main(int argc, char** argv) {
         }
         std::puts("\nload histogram (replicate 0):");
         std::fputs(hist.render_ascii(48).c_str(), stdout);
-      } else if (cfg.layout == bbb::core::StateLayout::kWide) {
-        const auto protocol = bbb::core::make_protocol(cfg.protocol_spec);
-        const auto res = protocol->run(cfg.m, cfg.n, gen);
-        std::puts("\nload histogram (replicate 0):");
-        std::fputs(bbb::core::load_histogram(res.loads).render_ascii(48).c_str(),
-                   stdout);
       } else if (const auto prefix =
                      bbb::core::split_spec_prefix(cfg.protocol_spec, "protocol");
                  prefix.shards != 0) {
-        // Compact + sharded: run the engine and read the merged level
-        // counts (still no 32-bit load vector materialized).
+        // Sharded: run the engine and read the merged level counts (no
+        // 32-bit load vector materialized).
         bbb::shard::ShardOptions opt;
         opt.shards = prefix.shards;
         opt.layout = cfg.layout;
@@ -146,16 +140,15 @@ int main(int argc, char** argv) {
         std::puts("\nload histogram (replicate 0):");
         std::fputs(hist.render_ascii(48).c_str(), stdout);
       } else {
-        // Compact layout: stream the replicate and build the histogram
-        // straight off the state's incremental level counts — O(max load),
-        // no 32-bit load vector is ever materialized (at n = 2^30 that
+        // Run replicate 0 as sim::run_replicate does (either layout) and
+        // build the histogram straight off the state's incremental level
+        // counts — O(max load); no load vector is copied (at n = 2^30 that
         // vector alone would be 4 GiB).
         const auto alloc = bbb::core::make_streaming_allocator(cfg.protocol_spec,
                                                                cfg.n, cfg.m,
                                                                cfg.layout);
         alloc->set_engine_exclusive(true);
-        for (std::uint64_t i = 0; i < cfg.m; ++i) (void)alloc->place(gen);
-        alloc->finalize(gen);
+        alloc->run_batch(cfg.m, gen);
         const bbb::core::BinState& state = alloc->state();
         bbb::stats::IntHistogram hist;
         const auto& levels = state.level_counts();

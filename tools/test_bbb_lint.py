@@ -127,6 +127,30 @@ class GoldenPinCoverage(FixtureTree):
               'TEST(RegistryGoldenPins, ShardsTwo) { run("shards[2]:one-choice"); }\n')
         self.assertEqual(bbb_lint.check_golden_pin_coverage(self.root), [])
 
+    def test_parse_chain_shape_is_found(self):
+        # The registry's one parse: an else-if chain with several spellings
+        # on one line (or wrapped), and the prefix read off a member.
+        write(self.root, "src/bbb/core/protocols/registry.cpp",
+              'if (s.name == "one-choice") {\n'
+              '} else if (s.name == "greedy") {\n'
+              '} else if (s.name == "adaptive" || s.name == "adaptive-net" ||\n'
+              '           s.name == "adaptive-total") {\n'
+              '}\n'
+              "if (parsed.prefix.shards != 0) return sharded();\n")
+        self.assertEqual(bbb_lint.registry_families(self.root),
+                         ["one-choice", "greedy", "adaptive", "adaptive-net",
+                          "adaptive-total", "shards["])
+
+    def test_empty_scan_is_flagged(self):
+        # A dispatch the scan cannot read (here a table) must not pass as
+        # "every family pinned".
+        write(self.root, "src/bbb/core/protocols/registry.cpp",
+              'const Entry kFamilies[] = {{"one-choice", &one}, {"greedy", &two}};\n')
+        self.assertEqual(bbb_lint.registry_families(self.root), [])
+        violations = bbb_lint.check_golden_pin_coverage(self.root)
+        self.assertEqual(rules_fired(violations), ["golden-pin-coverage"])
+        self.assertIn("no protocol families found", violations[0][3])
+
 
 class NoWildRandomness(FixtureTree):
     def test_each_banned_token_fires(self):
@@ -195,6 +219,14 @@ class RealTree(unittest.TestCase):
         self.assertEqual(violations, [],
                          "\n".join(f"{p}:{l}: [{r}] {m}"
                                    for p, l, r, m in violations))
+
+    def test_production_registry_families_are_all_found(self):
+        repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        expected = {"one-choice", "greedy", "left", "memory", "threshold",
+                    "doubling-threshold", "adaptive", "adaptive-net",
+                    "adaptive-total", "stale-adaptive", "skewed-adaptive",
+                    "batched", "self-balancing", "cuckoo", "shards["}
+        self.assertEqual(set(bbb_lint.registry_families(repo)), expected)
 
 
 if __name__ == "__main__":
