@@ -223,7 +223,7 @@ class SpecProtocol final : public Protocol {
 void reject_shards(const ParsedProtocol& p, const std::string& spec, const char* what) {
   if (p.prefix.shards != 0) {
     // A rule is one shard's decision logic; the engine owning the worker
-    // threads and the ring mesh is a different object.
+    // threads and the round phases is a different object.
     throw std::invalid_argument(
         "protocol spec '" + spec +
         "': 'shards[t]:' builds a multi-threaded engine, not " + what +

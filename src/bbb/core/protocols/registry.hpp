@@ -50,10 +50,11 @@
 ///
 /// A spec may instead carry the sharded-engine prefix
 ///   shards[t]:spec               e.g. shards[4]:greedy[2]
-/// which runs the rule on t worker threads over the SPSC ring mesh of
+/// which runs the rule on t workers over the shared-memory round phases of
 /// shard/engine.hpp — exactly distribution-equal to the sequential rule
-/// (t = 1 is bit-identical). Cannot combine with `capacities=`; t > 1
-/// supports one-choice / greedy[d] / left[d].
+/// (t = 1 is the streaming loop, bit-identical). 1 <= t <= kMaxShards
+/// (256). Cannot combine with `capacities=`; t > 1 supports one-choice /
+/// greedy[d] / left[d].
 ///
 /// The three adaptive spellings are identical on arrivals-only streams;
 /// net and total only diverge once departures arrive (see adaptive.hpp).

@@ -130,9 +130,10 @@ SpecPrefix split_spec_prefix(const std::string& spec, const std::string& kind) {
         throw std::invalid_argument(kind + " spec '" + spec +
                                     "': bad shard count '" + tok + "'");
       }
-      if (value == 0 || value > std::numeric_limits<std::uint32_t>::max()) {
+      if (value == 0 || value > kMaxShards) {
         throw std::invalid_argument(kind + " spec '" + spec + "': shard count '" +
-                                    tok + "' out of range");
+                                    tok + "' out of range [1, " +
+                                    std::to_string(kMaxShards) + "]");
       }
       out.shards = static_cast<std::uint32_t>(value);
       out.rest.erase(0, close + 2);

@@ -12,16 +12,22 @@
 ///                               (protocol/allocator registries);
 ///   weighted:rest               atomic weighted arrivals — a whole chain
 ///                               lands in one bin (workload registry);
-///   shards[t]:rest              the sharded multi-core engine — t worker
-///                               threads over an SPSC ring mesh, exactly
-///                               distribution-equal to the sequential rule
-///                               (protocol registry; see shard/engine.hpp).
+///   shards[t]:rest              the sharded multi-core engine — t workers
+///                               over shared-memory round phases, exactly
+///                               distribution-equal to the sequential rule,
+///                               1 <= t <= kMaxShards (protocol registry;
+///                               see shard/engine.hpp).
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
 namespace bbb::core {
+
+/// Largest shard count a `shards[t]:` prefix accepts. The engine keeps
+/// t^2 inbox vectors and spawns t - 1 threads per run, so the cap bounds
+/// its cost independently of n (t <= n is checked when the run binds n).
+inline constexpr std::uint32_t kMaxShards = 256;
 
 /// A parsed spec: a name plus optional bracketed integer arguments.
 struct ParsedSpec {
@@ -75,8 +81,8 @@ struct SpecPrefix {
 /// Peel `weighted:`, `capacities=...:`, and `shards[t]:` prefixes (in any
 /// order, each at most once) off `spec`.
 /// \throws std::invalid_argument for malformed prefixes (empty or
-///         non-integer capacity lists, zero capacities or shard counts,
-///         duplicates).
+///         non-integer capacity lists, zero capacities, shard counts
+///         outside [1, kMaxShards], duplicates).
 [[nodiscard]] SpecPrefix split_spec_prefix(const std::string& spec,
                                            const std::string& kind);
 

@@ -103,8 +103,6 @@ void fold_into(MetricsRegistry& registry, const shard::ShardCounters& counters) 
     registry.add_counter("shard.ball.deferred", counters.deferred_balls);
   }
   registry.add_counter("shard.message.count", counters.messages);
-  registry.set_gauge("shard.ring.highwater",
-                     static_cast<double>(counters.ring_highwater));
 }
 
 }  // namespace bbb::obs

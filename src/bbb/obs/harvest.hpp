@@ -28,8 +28,7 @@
 ///   shard.sync_rounds                synchronized rounds, summed over shards
 ///   shard.probe.cross_shard          probes routed to another shard's bins
 ///   shard.ball.deferred              balls replayed in the cleanup sub-phase
-///   shard.message.count              SPSC ring messages pushed (req+rep+commit)
-///   shard.ring.highwater             max outbound-ring occupancy observed
+///   shard.message.count              cross-shard inbox entries (probes+commits)
 
 #include <cstdint>
 
@@ -83,9 +82,9 @@ struct CoreCounters {
 void fold_into(MetricsRegistry& registry, const CoreCounters& counters);
 
 /// Fold a sharded run's aggregated counters under the shard.* names above.
-/// Registered only when the shard engine actually ran (messages or rounds
-/// nonzero), so unsharded summaries stay free of shard rows; highwater is
-/// a gauge (max across replicates), the rest are summed counters.
+/// Registered only when the multi-shard round protocol actually ran
+/// (messages or rounds nonzero), so unsharded and shards[1] summaries stay
+/// free of shard rows; all are summed counters.
 void fold_into(MetricsRegistry& registry, const shard::ShardCounters& counters);
 
 }  // namespace bbb::obs

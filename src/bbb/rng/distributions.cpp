@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "bbb/stats/special_functions.hpp"
+
 namespace bbb::rng {
 
 // ---------------------------------------------------------------- Exponential
@@ -83,7 +85,7 @@ std::uint64_t PoissonDist::sample_ptrs(Engine& gen) const {
       continue;
     }
     if (std::log(v * inv_alpha_ / (a_ / (us * us) + b_)) <=
-        kf * log_lambda_ - lambda_ - std::lgamma(kf + 1.0)) {
+        kf * log_lambda_ - lambda_ - stats::log_gamma(kf + 1.0)) {
       return static_cast<std::uint64_t>(kf);
     }
   }
@@ -92,7 +94,7 @@ std::uint64_t PoissonDist::sample_ptrs(Engine& gen) const {
 double PoissonDist::pmf(std::uint64_t k) const {
   const auto kd = static_cast<double>(k);
   if (lambda_ == 0.0) return k == 0 ? 1.0 : 0.0;
-  return std::exp(kd * std::log(lambda_) - lambda_ - std::lgamma(kd + 1.0));
+  return std::exp(kd * std::log(lambda_) - lambda_ - stats::log_gamma(kd + 1.0));
 }
 
 double PoissonDist::cdf(std::uint64_t k) const {
@@ -164,7 +166,7 @@ BinomialDist::BinomialDist(std::uint64_t n, double p) : n_(n), p_(p) {
     alpha_ = (2.83 + 5.1 / b_) * spq_;
     lpq_ = std::log(pp_ / q);
     m_ = std::floor(static_cast<double>(n_ + 1) * pp_);
-    h_ = std::lgamma(m_ + 1.0) + std::lgamma(static_cast<double>(n_) - m_ + 1.0);
+    h_ = stats::log_gamma(m_ + 1.0) + stats::log_gamma(static_cast<double>(n_) - m_ + 1.0);
   } else {
     const double q = 1.0 - pp_;
     s_ = pp_ / q;
@@ -211,7 +213,7 @@ std::uint64_t BinomialDist::sample_btrs(Engine& gen) const {
     if (kf < 0.0 || kf > nd) continue;
     if (us >= 0.07 && v <= vr_) return static_cast<std::uint64_t>(kf);
     const double lhs = std::log(v * alpha_ / (a_ / (us * us) + b_));
-    const double rhs = h_ - std::lgamma(kf + 1.0) - std::lgamma(nd - kf + 1.0) +
+    const double rhs = h_ - stats::log_gamma(kf + 1.0) - stats::log_gamma(nd - kf + 1.0) +
                        (kf - m_) * lpq_;
     if (lhs <= rhs) return static_cast<std::uint64_t>(kf);
   }
@@ -224,7 +226,7 @@ double BinomialDist::pmf(std::uint64_t k) const {
   const auto nd = static_cast<double>(n_);
   const auto kd = static_cast<double>(k);
   const double log_binom =
-      std::lgamma(nd + 1.0) - std::lgamma(kd + 1.0) - std::lgamma(nd - kd + 1.0);
+      stats::log_gamma(nd + 1.0) - stats::log_gamma(kd + 1.0) - stats::log_gamma(nd - kd + 1.0);
   return std::exp(log_binom + kd * std::log(p_) + (nd - kd) * std::log1p(-p_));
 }
 

@@ -12,17 +12,15 @@
 
 namespace bbb::shard {
 
-/// One worker's tallies; aggregate across workers with operator+=
-/// (ring_highwater aggregates by max — it is an occupancy, not a count).
+/// One worker's tallies; aggregate across workers with operator+=.
 struct ShardCounters {
   std::uint64_t rounds = 0;             ///< synchronized rounds participated in
   std::uint64_t balls = 0;              ///< balls this shard decided
   std::uint64_t probes = 0;             ///< probe draws (d per ball)
   std::uint64_t cross_shard_probes = 0; ///< probes routed to another shard
   std::uint64_t deferred_balls = 0;     ///< balls sent to the cleanup sub-phase
-  std::uint64_t messages = 0;           ///< ring messages pushed (req+rep+commit)
-  std::uint64_t ring_highwater = 0;     ///< max outbound-ring occupancy sampled
-                                        ///< at round boundaries
+  std::uint64_t messages = 0;           ///< cross-shard inbox entries filed
+                                        ///< (probe requests + commits)
 
   ShardCounters& operator+=(const ShardCounters& o) noexcept {
     rounds += o.rounds;
@@ -31,7 +29,6 @@ struct ShardCounters {
     cross_shard_probes += o.cross_shard_probes;
     deferred_balls += o.deferred_balls;
     messages += o.messages;
-    if (o.ring_highwater > ring_highwater) ring_highwater = o.ring_highwater;
     return *this;
   }
 };

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <system_error>
 #include <thread>
 #include <utility>
 
@@ -13,9 +14,7 @@
 #include "bbb/core/protocols/registry.hpp"
 #include "bbb/core/spec.hpp"
 #include "bbb/par/spin_barrier.hpp"
-#include "bbb/par/spsc_ring.hpp"
 #include "bbb/rng/streams.hpp"
-#include "bbb/shard/messages.hpp"
 
 namespace bbb::shard {
 
@@ -25,48 +24,81 @@ namespace {
 /// no information (the original error lives in that worker's slot).
 struct Aborted {};
 
-/// Chunk size of the single-shard command stream — the same 64Ki stride
-/// the sim runner's heartbeat path uses, so the ring is genuinely
-/// exercised on long runs without measurable per-chunk overhead.
-constexpr std::uint64_t kSingleChunk = 0x10000;
+/// How many inbox entries ahead the serve and apply walks prefetch the
+/// owner's load slot (and first-prober record): the entries name random
+/// bins, so without it every entry waits on its own cache miss.
+constexpr std::size_t kServeAhead = 16;
 
-template <typename M>
-void push_spin(par::SpscRing<M>& ring, M msg, const std::atomic<bool>& abort) {
-  while (!ring.try_push(msg)) {
-    if (abort.load(std::memory_order_relaxed)) throw Aborted{};
-    std::this_thread::yield();
-  }
-}
+/// One cross-shard inbox entry of the draw phase: "report the round-start
+/// load of your bin `bin`, and whether an earlier ball this round probed
+/// it, into slot (`ball`, `slot`) of my probe arrays". The bin is
+/// owner-local; the ball is the requester's round-local index, which the
+/// round-size clamp keeps below 2^16, so an entry is one 64-bit word.
+struct ProbeRequest {
+  std::uint32_t bin = 0;
+  std::uint16_t ball = 0;
+  std::uint8_t slot = 0;
+};
 
-template <typename M>
-[[nodiscard]] M pop_spin(par::SpscRing<M>& ring, const std::atomic<bool>& abort) {
-  M msg;
-  while (!ring.try_pop(msg)) {
-    if (abort.load(std::memory_order_relaxed)) throw Aborted{};
-    std::this_thread::yield();
+/// The one multi-shard family check behind both constructors: the inner
+/// rule's canonical name and, for t > 1, the decision kind and d the round
+/// protocol implements natively.
+struct Family {
+  DecisionKind kind = DecisionKind::kOneChoice;
+  std::uint32_t d = 1;
+  std::string name;
+};
+
+Family shard_family(const std::string& inner_spec, std::uint32_t shards) {
+  const std::string spec = "shards[" + std::to_string(shards) + "]:" + inner_spec;
+  if (shards == 0 || shards > core::kMaxShards) {
+    throw std::invalid_argument("protocol spec '" + spec +
+                                "': shard count must be in [1, " +
+                                std::to_string(core::kMaxShards) + "]");
   }
-  return msg;
+  Family f;
+  f.name = core::make_protocol(inner_spec)->name();  // validates every argument
+  if (shards == 1) return f;
+  const core::ParsedSpec s = core::parse_spec(f.name, "protocol");
+  if (s.name == "one-choice") return f;
+  if (s.name == "greedy" || s.name == "left") {
+    f.kind = s.name == "greedy" ? DecisionKind::kGreedy : DecisionKind::kLeft;
+    f.d = core::spec_arg_u32(s, 0, f.name, "protocol");
+    if (f.d <= kMaxShardD) return f;
+    throw std::invalid_argument("protocol spec '" + spec + "': d must be <= " +
+                                std::to_string(kMaxShardD) + " in multi-shard mode");
+  }
+  throw std::invalid_argument("protocol spec '" + spec +
+                              "': multi-shard mode implements one-choice / greedy[d] / "
+                              "left[d] only; '" + f.name + "' runs only as shards[1]");
 }
 
 }  // namespace
 
 /// One worker's shard: its bins, its RNG substream, and all per-round
-/// scratch. Every field is touched by exactly one thread during a phase
-/// (the deferred vector is read by worker 0 in the cleanup phase, after a
-/// barrier published it).
+/// scratch. Other workers touch its fields only in the phases the round
+/// protocol (engine.hpp) assigns them, always behind a barrier.
 struct ShardedAllocator::Worker {
   core::BinState state;
   rng::Engine eng{0};
-  std::uint32_t first = 0;  ///< first global bin
-  std::uint32_t nbins = 0;
 
   // Per-round scratch, sized once to the maximum slice.
-  std::vector<std::uint32_t> probe_bins;   ///< slice * d global bins
-  std::vector<std::uint32_t> probe_loads;  ///< slice * d round-start loads
-  std::vector<std::uint8_t> defer_flag;    ///< per ball
-  std::vector<std::uint64_t> aux;          ///< greedy tie-break words
-  std::vector<std::uint32_t> probe_epoch;  ///< per local bin: round stamp
-  std::vector<std::uint32_t> probe_first;  ///< per local bin: first prober
+  std::vector<std::uint32_t> probe_bins;      ///< slice * d global bins
+  std::vector<std::uint32_t> probe_loads;     ///< slice * d round-start loads
+  std::vector<std::uint8_t> probe_conflict;   ///< slice * d conflict verdicts
+  std::vector<std::uint64_t> aux;             ///< greedy tie-break words
+  /// Per local bin: the round that last probed it and its first prober
+  /// that round, side by side so a probe touches one cache line.
+  struct FirstProbe {
+    std::uint32_t round = 0;
+    std::uint32_t ball = 0;
+  };
+  std::vector<FirstProbe> first_probe;
+
+  /// Per destination shard (this one included): the draw phase's probe
+  /// requests and the decide phase's winning owner-local bins.
+  std::vector<std::vector<ProbeRequest>> out_probes;
+  std::vector<std::vector<std::uint32_t>> out_commits;
 
   struct Deferred {
     std::uint64_t gid = 0;  ///< global ball index (round-major order)
@@ -74,47 +106,23 @@ struct ShardedAllocator::Worker {
     std::array<std::uint32_t, kMaxShardD> bins{};
   };
   std::vector<Deferred> deferred;
-  std::vector<std::uint32_t> local_commits;  ///< local bin ids
 
   ShardCounters counters;
   std::exception_ptr error;
 
-  Worker(std::uint32_t bins, core::StateLayout layout) : state(bins, layout), nbins(bins) {}
+  Worker(std::uint32_t bins, core::StateLayout layout, std::uint32_t shards)
+      : state(bins, layout), out_probes(shards), out_commits(shards) {}
 };
 
-/// The T*T ring mesh plus the round barrier and cleanup handshake.
-struct ShardedAllocator::Mesh {
-  std::uint32_t shards;
-  std::vector<std::unique_ptr<par::SpscRing<ProbeRequest>>> req;
-  std::vector<std::unique_ptr<par::SpscRing<ProbeReply>>> rep;
-  std::vector<std::unique_ptr<par::SpscRing<Commit>>> com;
+/// The round barrier and the abort flag that releases it when a worker
+/// fails (or a worker thread never started).
+struct ShardedAllocator::Sync {
   par::SpinBarrier barrier;
-  std::atomic<std::uint64_t> cleanup_done{0};  ///< rounds fully cleaned up
   std::atomic<bool> abort{false};
 
-  Mesh(std::uint32_t t, std::size_t probe_cap, std::size_t commit_cap)
-      : shards(t), barrier(t) {
-    req.reserve(static_cast<std::size_t>(t) * t);
-    rep.reserve(static_cast<std::size_t>(t) * t);
-    com.reserve(static_cast<std::size_t>(t) * t);
-    for (std::uint32_t i = 0; i < t * t; ++i) {
-      req.push_back(std::make_unique<par::SpscRing<ProbeRequest>>(probe_cap));
-      rep.push_back(std::make_unique<par::SpscRing<ProbeReply>>(probe_cap));
-      com.push_back(std::make_unique<par::SpscRing<Commit>>(commit_cap));
-    }
-  }
+  explicit Sync(std::uint32_t t) : barrier(t) {}
 
-  [[nodiscard]] par::SpscRing<ProbeRequest>& rq(std::uint32_t from, std::uint32_t to) {
-    return *req[static_cast<std::size_t>(from) * shards + to];
-  }
-  [[nodiscard]] par::SpscRing<ProbeReply>& rp(std::uint32_t from, std::uint32_t to) {
-    return *rep[static_cast<std::size_t>(from) * shards + to];
-  }
-  [[nodiscard]] par::SpscRing<Commit>& cm(std::uint32_t from, std::uint32_t to) {
-    return *com[static_cast<std::size_t>(from) * shards + to];
-  }
-
-  void sync() {
+  void wait() {
     if (!barrier.arrive_and_wait(abort)) throw Aborted{};
   }
 };
@@ -122,39 +130,17 @@ struct ShardedAllocator::Mesh {
 ShardedAllocator::ShardedAllocator(const std::string& inner_spec, std::uint32_t n,
                                    ShardOptions opt)
     : topo_(n, opt.shards), opt_(opt) {
-  // Route the spec through the registry for argument validation and the
-  // canonical name, whatever the shard count.
+  // The registry checks the n-dependent limits (left[d] needs d <= n) and
+  // rejects modifier prefixes; in single-shard mode this is the rule that runs.
   auto rule = core::make_rule(inner_spec, n, opt.m_hint);
-  inner_name_ = rule->name();
-
+  const Family family = shard_family(inner_spec, topo_.shards());
+  inner_name_ = family.name;
+  kind_ = family.kind;
+  d_ = family.d;
   if (topo_.shards() == 1) {
     rule_ = std::move(rule);
     single_state_ = std::make_unique<core::BinState>(n, opt_.layout);
     return;
-  }
-
-  const core::ParsedSpec s = core::parse_spec(inner_spec, "protocol");
-  if (s.name == "one-choice") {
-    kind_ = Kind::kOneChoice;
-    d_ = 1;
-  } else if (s.name == "greedy") {
-    kind_ = Kind::kGreedy;
-    d_ = core::spec_arg_u32(s, 0, inner_spec, "protocol");
-  } else if (s.name == "left") {
-    kind_ = Kind::kLeft;
-    d_ = core::spec_arg_u32(s, 0, inner_spec, "protocol");
-  } else {
-    throw std::invalid_argument(
-        "sharded engine: multi-shard mode implements the probe-based rules "
-        "one-choice / greedy[d] / left[d]; '" + inner_name_ +
-        "' runs only as shards[1]");
-  }
-  if (d_ == 0) {
-    throw std::invalid_argument("sharded engine: d must be positive");
-  }
-  if (d_ > kMaxShardD) {
-    throw std::invalid_argument("sharded engine: d must be <= " +
-                                std::to_string(kMaxShardD) + " in multi-shard mode");
   }
   const std::uint64_t cap = 65535ULL * topo_.shards();
   round_total_ = std::clamp<std::uint64_t>(opt_.round_balls, topo_.shards(), cap);
@@ -178,8 +164,8 @@ std::pair<std::uint32_t, std::uint32_t> ShardedAllocator::group_range(
 
 std::uint32_t ShardedAllocator::decide_slot(const std::uint32_t* loads, std::uint32_t d,
                                             std::uint64_t aux) const noexcept {
-  if (kind_ == Kind::kOneChoice) return 0;
-  if (kind_ == Kind::kLeft) {
+  if (kind_ == DecisionKind::kOneChoice) return 0;
+  if (kind_ == DecisionKind::kLeft) {
     // Vöcking's always-go-left: strict < keeps the leftmost minimum.
     std::uint32_t best = 0;
     for (std::uint32_t g = 1; g < d; ++g) {
@@ -222,53 +208,14 @@ void ShardedAllocator::run(std::uint64_t m, rng::Engine& gen) {
 }
 
 void ShardedAllocator::run_single(std::uint64_t m, rng::Engine& gen) {
-  // The worker owns the engine and the rule for the whole run, so the
-  // engine-exclusivity promise holds and placements are bit-for-bit the
-  // StreamingAllocator place_batch + finalize stream.
+  // The calling thread owns the engine and the rule for the whole run, so
+  // the engine-exclusivity promise holds and placements are bit-for-bit
+  // the StreamingAllocator place_batch + finalize stream.
   rule_->set_engine_exclusive(true);
-  par::SpscRing<std::uint64_t> ring(16);
-  std::atomic<bool> worker_done{false};
-  std::exception_ptr error;
-
-  std::thread worker([&] {
-    try {
-      for (;;) {
-        std::uint64_t chunk = 0;
-        if (!ring.try_pop(chunk)) {
-          std::this_thread::yield();
-          continue;
-        }
-        if (chunk == 0) break;
-        rule_->place_batch(*single_state_, chunk, gen);
-        counters_.balls += chunk;
-      }
-      rule_->finalize(*single_state_, gen);
-    } catch (...) {
-      error = std::current_exception();
-    }
-    worker_done.store(true, std::memory_order_release);
-  });
-
-  std::uint64_t left = m;
-  bool sentinel_sent = false;
-  while (!sentinel_sent && !worker_done.load(std::memory_order_acquire)) {
-    std::uint64_t msg = left == 0 ? 0 : std::min(kSingleChunk, left);
-    if (!ring.try_push(msg)) {
-      std::this_thread::yield();
-      continue;
-    }
-    ++counters_.messages;
-    const std::size_t occ = ring.size();
-    if (occ > counters_.ring_highwater) counters_.ring_highwater = occ;
-    if (msg == 0) {
-      sentinel_sent = true;
-    } else {
-      left -= msg;
-    }
-  }
-  worker.join();
+  rule_->place_batch(*single_state_, m, gen);
+  rule_->finalize(*single_state_, gen);
   rule_->set_engine_exclusive(false);
-  if (error) std::rethrow_exception(error);
+  counters_.balls = m;
   counters_.probes = rule_->probes();
 }
 
@@ -285,31 +232,39 @@ void ShardedAllocator::run_sharded(std::uint64_t m, rng::Engine& gen) {
   workers_.clear();
   workers_.reserve(t);
   for (std::uint32_t s = 0; s < t; ++s) {
-    auto w = std::make_unique<Worker>(topo_.shard_bins(s), opt_.layout);
-    w->first = topo_.first_bin(s);
+    auto w = std::make_unique<Worker>(topo_.shard_bins(s), opt_.layout, t);
     w->eng = seq.engine(s);
     w->probe_bins.resize(static_cast<std::size_t>(slice_max) * d_);
     w->probe_loads.resize(static_cast<std::size_t>(slice_max) * d_);
-    w->defer_flag.resize(slice_max);
-    if (kind_ == Kind::kGreedy) w->aux.resize(slice_max);
-    w->probe_epoch.assign(w->nbins, 0);
-    w->probe_first.assign(w->nbins, 0);
-    w->deferred.reserve(64);
-    w->local_commits.reserve(slice_max);
+    w->probe_conflict.resize(static_cast<std::size_t>(slice_max) * d_);
+    if (kind_ == DecisionKind::kGreedy) w->aux.resize(slice_max);
+    w->first_probe.resize(topo_.shard_bins(s));
     workers_.push_back(std::move(w));
   }
-  // Ring capacities guarantee the bounded phases never block: a sender
-  // pushes at most slice * d probe messages (and slice commits) per round
-  // into any one ring; only cleanup traffic can exceed that, and its
-  // receivers are actively draining.
-  mesh_ = std::make_unique<Mesh>(t, static_cast<std::size_t>(slice_max) * d_ + 8,
-                                 static_cast<std::size_t>(slice_max) + 8);
 
+  // Worker 0 runs on the calling thread. A failed spawn releases the
+  // workers already parked at the first barrier before it propagates.
+  Sync sync(t);
   std::vector<std::thread> threads;
-  threads.reserve(t);
-  for (std::uint32_t s = 0; s < t; ++s) {
-    threads.emplace_back([this, s, m] { worker_main(s, m); });
+  threads.reserve(t - 1);
+  const auto release_started = [&] {
+    sync.abort.store(true, std::memory_order_seq_cst);
+    for (std::thread& th : threads) th.join();
+  };
+  try {
+    for (std::uint32_t s = 1; s < t; ++s) {
+      threads.emplace_back([this, s, m, &sync] { worker_main(s, m, sync); });
+    }
+  } catch (const std::system_error& e) {
+    release_started();
+    throw std::system_error(e.code(), "sharded engine: cannot start worker thread " +
+                                          std::to_string(threads.size() + 1) + " of " +
+                                          std::to_string(t));
+  } catch (...) {
+    release_started();
+    throw;
   }
+  worker_main(0, m, sync);
   for (std::thread& th : threads) th.join();
 
   for (std::uint32_t s = 0; s < t; ++s) {
@@ -317,12 +272,10 @@ void ShardedAllocator::run_sharded(std::uint64_t m, rng::Engine& gen) {
   }
   for (std::uint32_t s = 0; s < t; ++s) counters_ += workers_[s]->counters;
   sync_rounds_ = (m + round_total_ - 1) / round_total_;
-  mesh_.reset();
 }
 
-void ShardedAllocator::worker_main(std::uint32_t s, std::uint64_t m) {
+void ShardedAllocator::worker_main(std::uint32_t s, std::uint64_t m, Sync& sync) {
   Worker& w = *workers_[s];
-  Mesh& mesh = *mesh_;
   const std::uint32_t t = topo_.shards();
   const std::uint32_t n = topo_.n();
   const std::uint64_t rounds = (m + round_total_ - 1) / round_total_;
@@ -332,160 +285,132 @@ void ShardedAllocator::worker_main(std::uint32_t s, std::uint64_t m) {
       const std::uint64_t round_base = r * round_total_;
       const std::uint64_t b = std::min(round_total_, m - round_base);
       const auto lo = static_cast<std::uint32_t>(s * b / t);
-      const auto hi = static_cast<std::uint32_t>((static_cast<std::uint64_t>(s) + 1) * b / t);
+      const auto hi =
+          static_cast<std::uint32_t>((static_cast<std::uint64_t>(s) + 1) * b / t);
       const std::uint32_t cnt = hi - lo;
       const auto stamp = static_cast<std::uint32_t>(r + 1);
-      w.deferred.clear();
-      w.local_commits.clear();
-      std::fill(w.defer_flag.begin(), w.defer_flag.begin() + cnt, std::uint8_t{0});
 
-      // --- phase A: draw probes from this shard's substream, route the
-      // cross-shard ones. Draw order is fixed (ball-major, slot-major), so
-      // the stream depends only on the substream seed.
+      // --- phase A: draw probes from this shard's substream and file each
+      // one in its owner's inbox. Draw order is fixed (ball-major,
+      // slot-major), so the stream depends only on the substream seed.
+      for (auto& inbox : w.out_probes) inbox.clear();
       for (std::uint32_t i = 0; i < cnt; ++i) {
         for (std::uint32_t g = 0; g < d_; ++g) {
           std::uint32_t bin = 0;
-          if (kind_ == Kind::kLeft) {
-            const auto [first, last] = group_range(g);
-            bin = first + static_cast<std::uint32_t>(
-                              rng::uniform_below(w.eng, last - first));
+          if (kind_ == DecisionKind::kLeft) {
+            const auto [gfirst, glast] = group_range(g);
+            bin = gfirst + static_cast<std::uint32_t>(
+                               rng::uniform_below(w.eng, glast - gfirst));
           } else {
             bin = static_cast<std::uint32_t>(rng::uniform_below(w.eng, n));
           }
           w.probe_bins[static_cast<std::size_t>(i) * d_ + g] = bin;
+          const std::uint32_t owner = topo_.shard_of(bin);
+          w.out_probes[owner].push_back(ProbeRequest{topo_.local_of(bin, owner),
+                                                     static_cast<std::uint16_t>(i),
+                                                     static_cast<std::uint8_t>(g)});
+          if (owner != s) {
+            ++w.counters.cross_shard_probes;
+            ++w.counters.messages;
+          }
         }
-        if (kind_ == Kind::kGreedy) w.aux[i] = w.eng();
+        if (kind_ == DecisionKind::kGreedy) w.aux[i] = w.eng();
       }
       w.counters.probes += static_cast<std::uint64_t>(cnt) * d_;
       w.counters.balls += cnt;
-      for (std::uint32_t i = 0; i < cnt; ++i) {
-        for (std::uint32_t g = 0; g < d_; ++g) {
-          const std::uint32_t bin = w.probe_bins[static_cast<std::size_t>(i) * d_ + g];
-          const std::uint32_t owner = topo_.shard_of(bin);
-          if (owner == s) continue;
-          push_spin(mesh.rq(s, owner),
-                    ProbeRequest{topo_.local_of(bin, owner),
-                                 static_cast<std::uint16_t>(i),
-                                 static_cast<std::uint8_t>(g)},
-                    mesh.abort);
-          ++w.counters.cross_shard_probes;
-          ++w.counters.messages;
-        }
-      }
-      for (std::uint32_t to = 0; to < t; ++to) {
-        if (to == s) continue;
-        const std::size_t occ = mesh.rq(s, to).size();
-        if (occ > w.counters.ring_highwater) w.counters.ring_highwater = occ;
-      }
-      mesh.sync();  // A: every request of this round is in its ring
+      sync.wait();  // A: every inbox of this round is filled
 
-      // --- phase B: answer the probes on bins this shard owns, in global
-      // ball order (sender-major), marking conflicts: a probe on a bin
-      // first probed by an *earlier* ball defers the probing ball. A
-      // conflict check on local bin `lb` by round-ball `rid`:
-      const auto conflicted = [&](std::uint32_t lb, std::uint32_t rid) -> bool {
-        if (w.probe_epoch[lb] != stamp) {
-          w.probe_epoch[lb] = stamp;
-          w.probe_first[lb] = rid;
-          return false;
-        }
-        return w.probe_first[lb] < rid;
-      };
+      // --- phase B: serve the probes on bins this shard owns, in global
+      // ball order (requester-major), writing the round-start load and the
+      // conflict verdict straight into the requester's slot: a probe on a
+      // bin first probed by an *earlier* ball defers the probing ball.
+      // No commit is applied before phase D, so every load read here is
+      // the round-start load.
       for (std::uint32_t from = 0; from < t; ++from) {
-        if (from == s) {
-          // This shard's own balls occupy global slots [lo, hi).
-          for (std::uint32_t i = 0; i < cnt; ++i) {
-            for (std::uint32_t g = 0; g < d_; ++g) {
-              const std::size_t idx = static_cast<std::size_t>(i) * d_ + g;
-              const std::uint32_t bin = w.probe_bins[idx];
-              if (topo_.shard_of(bin) != s) continue;
-              const std::uint32_t lb = bin - w.first;
-              if (conflicted(lb, lo + i)) w.defer_flag[i] = 1;
-              // Round-start load: no commit is applied before phase D.
-              w.probe_loads[idx] = w.state.load(lb);
-            }
-          }
-          continue;
-        }
+        Worker& req = *workers_[from];
         const auto from_lo = static_cast<std::uint32_t>(from * b / t);
-        ProbeRequest rq;
-        while (mesh.rq(from, s).try_pop(rq)) {
-          const std::uint8_t flag = conflicted(rq.bin, from_lo + rq.ball) ? 1 : 0;
-          push_spin(mesh.rp(s, from),
-                    ProbeReply{w.state.load(rq.bin), rq.ball, rq.slot, flag},
-                    mesh.abort);
-          ++w.counters.messages;
+        const std::vector<ProbeRequest>& inbox = req.out_probes[s];
+        for (std::size_t k = 0; k < inbox.size(); ++k) {
+          if (k + kServeAhead < inbox.size()) {
+            const std::uint32_t ahead = inbox[k + kServeAhead].bin;
+            w.state.prefetch(ahead);
+#if defined(__GNUC__) || defined(__clang__)
+            __builtin_prefetch(w.first_probe.data() + ahead, 1, 3);
+#endif
+          }
+          const ProbeRequest& rq = inbox[k];
+          const std::size_t idx = static_cast<std::size_t>(rq.ball) * d_ + rq.slot;
+          const std::uint32_t rid = from_lo + rq.ball;
+          Worker::FirstProbe& fp = w.first_probe[rq.bin];
+          std::uint8_t conflicted = 0;
+          if (fp.round != stamp) {
+            fp = {stamp, rid};
+          } else if (fp.ball < rid) {
+            conflicted = 1;
+          }
+          req.probe_loads[idx] = w.state.load(rq.bin);
+          req.probe_conflict[idx] = conflicted;
         }
       }
-      mesh.sync();  // B: every reply is in its ring
+      sync.wait();  // B: every slot holds its load and verdict
 
-      // --- phase C: collect replies, decide every non-conflicted ball on
-      // its round-start loads; winners crossing shards become commits.
-      for (std::uint32_t from = 0; from < t; ++from) {
-        if (from == s) continue;
-        ProbeReply rp;
-        while (mesh.rp(from, s).try_pop(rp)) {
-          w.probe_loads[static_cast<std::size_t>(rp.ball) * d_ + rp.slot] = rp.load;
-          if (rp.conflicted != 0) w.defer_flag[rp.ball] = 1;
-        }
-      }
+      // --- phase C: decide every non-conflicted ball on its round-start
+      // loads and file the winner with its owner; defer the rest.
+      w.deferred.clear();
+      for (auto& inbox : w.out_commits) inbox.clear();
       for (std::uint32_t i = 0; i < cnt; ++i) {
-        if (w.defer_flag[i] != 0) {
+        const std::size_t base = static_cast<std::size_t>(i) * d_;
+        if (std::any_of(w.probe_conflict.begin() + base,
+                        w.probe_conflict.begin() + base + d_,
+                        [](std::uint8_t c) { return c != 0; })) {
           Worker::Deferred def;
           def.gid = round_base + lo + i;
-          def.aux = kind_ == Kind::kGreedy ? w.aux[i] : 0;
-          for (std::uint32_t g = 0; g < d_; ++g) {
-            def.bins[g] = w.probe_bins[static_cast<std::size_t>(i) * d_ + g];
-          }
+          def.aux = kind_ == DecisionKind::kGreedy ? w.aux[i] : 0;
+          std::copy_n(w.probe_bins.begin() + base, d_, def.bins.begin());
           w.deferred.push_back(def);
           ++w.counters.deferred_balls;
           continue;
         }
-        const std::uint32_t slot =
-            decide_slot(w.probe_loads.data() + static_cast<std::size_t>(i) * d_, d_,
-                        kind_ == Kind::kGreedy ? w.aux[i] : 0);
-        const std::uint32_t bin = w.probe_bins[static_cast<std::size_t>(i) * d_ + slot];
+        const std::uint64_t aux = kind_ == DecisionKind::kGreedy ? w.aux[i] : 0;
+        const std::uint32_t slot = decide_slot(w.probe_loads.data() + base, d_, aux);
+        const std::uint32_t bin = w.probe_bins[base + slot];
         const std::uint32_t owner = topo_.shard_of(bin);
-        if (owner == s) {
-          w.local_commits.push_back(bin - w.first);
-        } else {
-          push_spin(mesh.cm(s, owner), Commit{topo_.local_of(bin, owner)}, mesh.abort);
-          ++w.counters.messages;
-        }
+        w.out_commits[owner].push_back(topo_.local_of(bin, owner));
+        if (owner != s) ++w.counters.messages;
       }
-      mesh.sync();  // C: every main-phase commit is in its ring
+      sync.wait();  // C: every commit and deferred list is filed
 
-      // --- phase D: apply the main-phase commits (local then inbound).
-      for (const std::uint32_t lb : w.local_commits) w.state.add_ball(lb);
+      // --- phase D: apply the main-phase commits, own first, then the
+      // inbound ones in requester order.
+      const auto apply = [&w](const std::vector<std::uint32_t>& commits) {
+        for (std::size_t k = 0; k < commits.size(); ++k) {
+          if (k + kServeAhead < commits.size()) w.state.prefetch(commits[k + kServeAhead]);
+          w.state.add_ball(commits[k]);
+        }
+      };
+      apply(w.out_commits[s]);
       for (std::uint32_t from = 0; from < t; ++from) {
-        if (from == s) continue;
-        Commit cm;
-        while (mesh.cm(from, s).try_pop(cm)) w.state.add_ball(cm.bin);
+        if (from != s) apply(workers_[from]->out_commits[s]);
       }
-      mesh.sync();  // D: all commits applied; deferred lists published
+      sync.wait();  // D: all commits applied
 
       // --- phase E: worker 0 replays the deferred balls serially in
-      // global order against current loads; everyone else serves.
-      if (s == 0) {
-        cleanup_round(s, r, d_);
-      } else {
-        serve_cleanup(s, r);
-      }
+      // global order against current loads, reading and writing every
+      // shard's state directly. The others go on to the next draw phase,
+      // which touches neither a BinState nor a deferred list; the next
+      // round's first barrier publishes the replay.
+      if (s == 0) cleanup_round();
       ++w.counters.rounds;
-      mesh.sync();  // E: round complete, rings empty
     }
   } catch (const Aborted&) {
     // Another worker failed; its slot carries the real error.
   } catch (...) {
     w.error = std::current_exception();
-    mesh.abort.store(true, std::memory_order_seq_cst);
+    sync.abort.store(true, std::memory_order_seq_cst);
   }
 }
 
-void ShardedAllocator::cleanup_round(std::uint32_t s, std::uint64_t round,
-                                     std::uint32_t d) {
-  Worker& w0 = *workers_[s];
-  Mesh& mesh = *mesh_;
+void ShardedAllocator::cleanup_round() {
   const std::uint32_t t = topo_.shards();
 
   // K-way merge of the per-worker deferred lists (each ascending in gid)
@@ -508,88 +433,13 @@ void ShardedAllocator::cleanup_round(std::uint32_t s, std::uint64_t round,
     const Worker::Deferred& def = workers_[pick]->deferred[idx[pick]];
     ++idx[pick];
 
-    // Current loads: local bins read directly, remote ones through the
-    // rings while their owners sit in the serve loop.
-    std::uint32_t pending = 0;
-    for (std::uint32_t g = 0; g < d; ++g) {
-      const std::uint32_t bin = def.bins[g];
-      const std::uint32_t owner = topo_.shard_of(bin);
-      if (owner == s) {
-        loads[g] = w0.state.load(bin - w0.first);
-      } else {
-        push_spin(mesh.rq(s, owner),
-                  ProbeRequest{topo_.local_of(bin, owner), 0,
-                               static_cast<std::uint8_t>(g)},
-                  mesh.abort);
-        ++w0.counters.messages;
-        ++pending;
-      }
+    for (std::uint32_t g = 0; g < d_; ++g) {
+      const std::uint32_t owner = topo_.shard_of(def.bins[g]);
+      loads[g] = workers_[owner]->state.load(topo_.local_of(def.bins[g], owner));
     }
-    for (std::uint32_t g = 0; g < d && pending > 0; ++g) {
-      const std::uint32_t bin = def.bins[g];
-      const std::uint32_t owner = topo_.shard_of(bin);
-      if (owner == s) continue;
-      const ProbeReply rp = pop_spin(mesh.rp(owner, s), mesh.abort);
-      loads[rp.slot] = rp.load;
-      --pending;
-    }
-
-    const std::uint32_t slot = decide_slot(loads.data(), d, def.aux);
-    const std::uint32_t bin = def.bins[slot];
+    const std::uint32_t bin = def.bins[decide_slot(loads.data(), d_, def.aux)];
     const std::uint32_t owner = topo_.shard_of(bin);
-    if (owner == s) {
-      w0.state.add_ball(bin - w0.first);
-    } else {
-      push_spin(mesh.cm(s, owner), Commit{topo_.local_of(bin, owner)}, mesh.abort);
-      ++w0.counters.messages;
-    }
-  }
-  // Release the servers: the store is ordered after every ring push above,
-  // so a server that observes it and drains once more has seen everything.
-  mesh.cleanup_done.store(round + 1, std::memory_order_release);
-}
-
-void ShardedAllocator::serve_cleanup(std::uint32_t s, std::uint64_t round) {
-  Worker& w = *workers_[s];
-  Mesh& mesh = *mesh_;
-  const auto drain_commits = [&]() -> bool {
-    bool progress = false;
-    Commit cm;
-    while (mesh.cm(0, s).try_pop(cm)) {
-      w.state.add_ball(cm.bin);
-      progress = true;
-    }
-    return progress;
-  };
-  const auto serve_once = [&]() -> bool {
-    bool progress = false;
-    ProbeRequest rq;
-    while (mesh.rq(0, s).try_pop(rq)) {
-      // Worker 0 pushes an earlier ball's commit BEFORE a later ball's
-      // load request (program order, release stores), so once a request
-      // is visible every commit that sequentially precedes it is too.
-      // Draining commits here — after popping the request, before
-      // answering — is what makes the reply the exact sequential-time
-      // load; draining them only between requests would race.
-      (void)drain_commits();
-      push_spin(mesh.rp(s, 0), ProbeReply{w.state.load(rq.bin), rq.ball, rq.slot, 0},
-                mesh.abort);
-      ++w.counters.messages;
-      progress = true;
-    }
-    progress = drain_commits() || progress;
-    return progress;
-  };
-  for (;;) {
-    const bool progress = serve_once();
-    if (mesh.cleanup_done.load(std::memory_order_acquire) > round) {
-      (void)serve_once();  // final drain: nothing new can arrive
-      break;
-    }
-    if (!progress) {
-      if (mesh.abort.load(std::memory_order_relaxed)) throw Aborted{};
-      std::this_thread::yield();
-    }
+    workers_[owner]->state.add_ball(topo_.local_of(bin, owner));
   }
 }
 
@@ -705,20 +555,8 @@ const core::BinState& ShardedAllocator::shard_state(std::uint32_t s) const {
 ShardedProtocol::ShardedProtocol(std::string inner_spec, ShardOptions opt)
     : inner_spec_(std::move(inner_spec)), opt_(opt) {
   opt_.layout = core::StateLayout::kWide;  // the batch path materializes loads
-  inner_name_ = core::make_protocol(inner_spec_)->name();
-  if (opt_.shards == 0) {
-    throw std::invalid_argument("protocol spec 'shards[0]:" + inner_spec_ +
-                                "': shard count must be positive");
-  }
-  if (opt_.shards > 1) {
-    // Fail unsupported multi-shard rules at construction, not first run.
-    const core::ParsedSpec s = core::parse_spec(inner_spec_, "protocol");
-    if (s.name != "one-choice" && s.name != "greedy" && s.name != "left") {
-      throw std::invalid_argument(
-          "protocol spec 'shards[" + std::to_string(opt_.shards) + "]:" + inner_spec_ +
-          "': multi-shard mode implements one-choice / greedy[d] / left[d] only");
-    }
-  }
+  // Fail unsupported multi-shard rules at construction, not first run.
+  inner_name_ = shard_family(inner_spec_, opt_.shards).name;
 }
 
 std::string ShardedProtocol::name() const {

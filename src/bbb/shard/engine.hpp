@@ -1,10 +1,10 @@
 #pragma once
 /// \file engine.hpp
 /// The sharded multi-core allocation engine: n bins partitioned across T
-/// worker threads (shard/topology.hpp), each worker owning one
-/// core::BinState plus one derived RNG substream, exchanging bounded
-/// per-round messages over lock-free SPSC rings (par/spsc_ring.hpp) — the
-/// distributed communication model of the 1-2-3-Toolkit round protocols,
+/// workers (shard/topology.hpp), each owning one core::BinState plus one
+/// derived RNG substream. The workers share one address space: they
+/// exchange probes and commits through plain per-(source, destination)
+/// vectors published by a barrier — the round model of the 1-2-3-Toolkit,
 /// run at memory speed inside one process.
 ///
 /// ## Round protocol (T > 1)
@@ -12,28 +12,31 @@
 /// Balls are processed in synchronized rounds of at most `round_balls`
 /// balls, each round split into contiguous per-worker slices (ball order
 /// is therefore globally fixed: round-major, then worker-major, then
-/// slice index — never schedule-dependent). A round runs five phases
-/// separated by a yielding barrier (par/spin_barrier.hpp):
+/// slice index — never schedule-dependent). A round runs five phases,
+/// the first four each closed by a yielding barrier (par/spin_barrier.hpp):
 ///
 ///   A  draw    each worker draws its balls' d probe bins (and one
 ///              tie-break word for greedy) from its own substream and
-///              routes every cross-shard probe as a ProbeRequest;
-///   B  serve   each worker answers the probes on bins it owns — in
-///              global ball order — with the *round-start* load plus a
-///              conflict verdict: a probe on a bin already probed by an
-///              earlier ball this round marks its ball `conflicted`;
-///   C  decide  each worker collects replies, and for every
-///              non-conflicted ball picks the winner (least-loaded with
-///              the pre-drawn tie-break word; leftmost for left[d]);
-///              cross-shard winners travel as Commit messages;
-///   D  apply   all main-phase commits land (loads were read before any
+///              files every probe `{local bin, ball, slot}` in the owning
+///              shard's inbox;
+///   B  serve   each owner walks its inboxes requester-major — global ball
+///              order — and writes the *round-start* load plus a conflict
+///              verdict straight into the requester's probe slot: a probe
+///              on a bin already probed by an earlier ball this round
+///              marks its ball conflicted. Every slot has exactly one
+///              writer, so the barrier publishes every verdict;
+///   C  decide  for every non-conflicted ball each worker picks the winner
+///              (least-loaded with the pre-drawn tie-break word; leftmost
+///              for left[d]) and files it in the owner's commit inbox;
+///   D  apply   each owner applies its commits (loads were read before any
 ///              commit applied, so every non-conflicted ball decided on
 ///              exactly the loads the *sequential* process would show it
 ///              — no earlier ball probed, hence committed to, its bins);
-///   E  cleanup worker 0 replays the conflicted (deferred) balls
-///              serially in global ball order against *current* loads,
-///              fetching remote loads / sending remote commits through
-///              the same rings while the other workers serve.
+///   E  cleanup worker 0 replays the conflicted (deferred) balls serially
+///              in global ball order against *current* loads, reading and
+///              writing the other shards' states directly. The other
+///              workers meanwhile draw the next round, which touches no
+///              state; the next barrier publishes the replay.
 ///
 /// The conflict-deferral rule is what makes the engine *exactly*
 /// distribution-equal to the sequential streaming core (not merely
@@ -49,16 +52,17 @@
 /// same rejection-sampled rng::uniform_below mapping as the sequential
 /// rules, from per-shard substreams derived via rng::SeedSequence
 /// nesting, so results depend only on (seed, shards, round_balls) —
-/// never on thread scheduling.
+/// never on thread scheduling. Worker 0 runs on the calling thread; the
+/// other T - 1 are spawned per run.
 ///
 /// ## Single-shard mode (T == 1)
 ///
-/// One worker thread drives the exact streaming loop — chunked
-/// place_batch plus finalize on the run's own engine, commands fed
-/// through an SPSC ring — so every registry rule is supported and the
-/// result is bit-for-bit identical to StreamingAllocator (all 14 golden
-/// pin families; proven in the ShardLockstep suite). `shards[1]:` is
-/// therefore a safe default anywhere the sequential core runs today.
+/// The calling thread drives the exact streaming loop — place_batch plus
+/// finalize on the run's own engine — so every registry rule is supported
+/// and the result is bit-for-bit identical to StreamingAllocator (all 14
+/// golden pin families; proven in the ShardLockstep suite). No thread is
+/// created. `shards[1]:` is therefore a safe default anywhere the
+/// sequential core runs today.
 
 #include <cstdint>
 #include <memory>
@@ -81,13 +85,16 @@ namespace bbb::shard {
 /// such cap; shards[t>1] with a larger d throws at construction.
 inline constexpr std::uint32_t kMaxShardD = 8;
 
+/// The decision rule a multi-shard run implements natively.
+enum class DecisionKind : std::uint8_t { kOneChoice, kGreedy, kLeft };
+
 /// Engine knobs beyond the inner spec and n.
 struct ShardOptions {
   std::uint32_t shards = 1;
   /// Balls in flight per synchronized round (T > 1). Clamped to
   /// [shards, 65535 * shards] — the upper bound keeps round-local ball
-  /// ids inside the 16-bit message field. Larger rounds amortize the
-  /// barriers; the deferral rate grows as ~(round_balls * d)^2 / (2n),
+  /// ids inside the 16-bit field of a probe request. Larger rounds
+  /// amortize the barriers; the deferral rate grows as ~(round_balls * d)^2 / (2n),
   /// so the default stays small relative to any interesting n.
   std::uint32_t round_balls = 8192;
   core::StateLayout layout = core::StateLayout::kWide;
@@ -100,18 +107,20 @@ struct ShardOptions {
 class ShardedAllocator {
  public:
   /// \param inner_spec a registry rule spec *without* modifier prefixes.
-  /// \throws std::invalid_argument for unknown/invalid specs, shards == 0
-  ///         or shards > n, or a multi-shard spec outside the supported
-  ///         one-choice / greedy[d<=8] / left[d<=8] set.
+  /// \throws std::invalid_argument for unknown/invalid specs, shards
+  ///         outside [1, min(n, core::kMaxShards)], or a multi-shard spec
+  ///         outside the supported one-choice / greedy[d<=8] / left[d<=8]
+  ///         set.
   ShardedAllocator(const std::string& inner_spec, std::uint32_t n, ShardOptions opt);
   ~ShardedAllocator();
 
   ShardedAllocator(const ShardedAllocator&) = delete;
   ShardedAllocator& operator=(const ShardedAllocator&) = delete;
 
-  /// Place m balls. Blocking: workers are spawned, run the whole stream,
-  /// and are joined before return; worker exceptions rethrow here. The
-  /// engine is one-shot (\throws std::logic_error on a second call).
+  /// Place m balls. Blocking: T - 1 workers are spawned, run the whole
+  /// stream beside the calling thread, and are joined before return;
+  /// worker exceptions (and a failed spawn) rethrow here. The engine is
+  /// one-shot (\throws std::logic_error on a second call).
   /// T == 1 consumes `gen` exactly like the sequential streaming loop;
   /// T > 1 draws a single word from `gen` as the nested master seed for
   /// the per-shard substreams.
@@ -143,8 +152,8 @@ class ShardedAllocator {
   /// The full result in batch vocabulary (materializes loads).
   [[nodiscard]] core::AllocationResult result() const;
 
-  /// Aggregated per-shard counters (messages, cross-shard probe ratio,
-  /// deferrals, ring high-water) — passive, harvested by obs after run.
+  /// Aggregated per-shard counters (inbox entries, cross-shard probe
+  /// ratio, deferrals) — passive, harvested by obs after run.
   [[nodiscard]] const ShardCounters& counters() const noexcept { return counters_; }
   /// Single-shard mode's inner rule, for CoreCounters harvesting
   /// (lookahead refills, batch-kernel waves); nullptr when T > 1.
@@ -161,16 +170,12 @@ class ShardedAllocator {
 
  private:
   struct Worker;
-  struct Mesh;
+  struct Sync;
 
   void run_single(std::uint64_t m, rng::Engine& gen);
   void run_sharded(std::uint64_t m, rng::Engine& gen);
-  void worker_main(std::uint32_t s, std::uint64_t m);
-  void cleanup_round(std::uint32_t s, std::uint64_t round, std::uint32_t d);
-  void serve_cleanup(std::uint32_t s, std::uint64_t round);
-
-  /// Decision kinds the multi-shard protocol implements natively.
-  enum class Kind : std::uint8_t { kOneChoice, kGreedy, kLeft };
+  void worker_main(std::uint32_t s, std::uint64_t m, Sync& sync);
+  void cleanup_round();
 
   [[nodiscard]] std::uint32_t decide_slot(const std::uint32_t* loads, std::uint32_t d,
                                           std::uint64_t aux) const noexcept;
@@ -180,10 +185,9 @@ class ShardedAllocator {
   Topology topo_;
   ShardOptions opt_;
   std::string inner_name_;
-  Kind kind_ = Kind::kOneChoice;
+  DecisionKind kind_ = DecisionKind::kOneChoice;
   std::uint32_t d_ = 1;
-  std::uint64_t round_total_ = 0;  ///< balls per full round (multiple of nothing,
-                                   ///< just clamped round_balls)
+  std::uint64_t round_total_ = 0;  ///< balls per full round (clamped round_balls)
   bool ran_ = false;
   std::uint64_t sync_rounds_ = 0;
   ShardCounters counters_;
@@ -194,7 +198,6 @@ class ShardedAllocator {
 
   // Multi-shard mode.
   std::vector<std::unique_ptr<Worker>> workers_;
-  std::unique_ptr<Mesh> mesh_;
 };
 
 /// Batch Protocol wrapper so `shards[t]:spec` slots into the registry

@@ -81,8 +81,8 @@ struct ReplicateRecord {
   /// harvested after the replicate — populated only when the experiment's
   /// obs level is counters or full; all-zero otherwise.
   obs::CoreCounters counters;
-  /// Sharded-engine counters (cross-shard probe traffic, deferrals, ring
-  /// occupancy), aggregated over the replicate's shards — populated under
+  /// Sharded-engine counters (cross-shard probe traffic, deferrals, inbox
+  /// entries), aggregated over the replicate's shards — populated under
   /// the same condition, and only for `shards[t]:` specs.
   shard::ShardCounters shard_counters;
   /// Replicate wall time; populated under the same condition.

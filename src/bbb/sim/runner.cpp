@@ -83,7 +83,7 @@ ReplicateRecord run_streaming_replicate(const ExperimentConfig& config,
 /// run the multi-core engine of shard/engine.hpp directly (rather than
 /// through its opaque Protocol wrapper) so the merged incremental metrics
 /// are read off the per-shard states — no O(n) load materialization — and
-/// the shard counters (cross-shard traffic, deferrals, ring occupancy)
+/// the shard counters (cross-shard traffic, deferrals, inbox entries)
 /// can be harvested. Results are identical to the wrapper: same derived
 /// engine, same consumption.
 ReplicateRecord run_sharded_replicate(const ExperimentConfig& config,

@@ -1,5 +1,7 @@
 #include "bbb/stats/special_functions.hpp"
 
+#include <math.h>  // lgamma_r (POSIX; not in <cmath>)
+
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
@@ -23,7 +25,7 @@ double gamma_p_series(double a, double x) {
     sum += del;
     if (std::abs(del) < std::abs(sum) * kEps) break;
   }
-  return sum * std::exp(-x + a * std::log(x) - std::lgamma(a));
+  return sum * std::exp(-x + a * std::log(x) - log_gamma(a));
 }
 
 // Lentz continued fraction for Q(a, x); converges fast for x > a + 1.
@@ -44,7 +46,7 @@ double gamma_q_cf(double a, double x) {
     h *= del;
     if (std::abs(del - 1.0) < kEps) break;
   }
-  return h * std::exp(-x + a * std::log(x) - std::lgamma(a));
+  return h * std::exp(-x + a * std::log(x) - log_gamma(a));
 }
 
 }  // namespace
@@ -70,8 +72,13 @@ double normal_cdf(double z) { return 0.5 * std::erfc(-z / std::sqrt(2.0)); }
 
 double normal_sf(double z) { return 0.5 * std::erfc(z / std::sqrt(2.0)); }
 
+double log_gamma(double x) noexcept {
+  int sign = 0;
+  return ::lgamma_r(x, &sign);
+}
+
 double log_factorial(std::uint64_t k) {
-  return std::lgamma(static_cast<double>(k) + 1.0);
+  return log_gamma(static_cast<double>(k) + 1.0);
 }
 
 double kolmogorov_sf(double lambda) {

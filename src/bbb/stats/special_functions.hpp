@@ -27,7 +27,14 @@ namespace bbb::stats {
 /// Standard normal upper tail P(Z >= z).
 [[nodiscard]] double normal_sf(double z);
 
-/// ln(k!) via lgamma.
+/// ln|Gamma(x)| — std::lgamma's value bit for bit, but through the
+/// reentrant lgamma_r: glibc's std::lgamma also writes the global
+/// `signgam`, a data race between threads that evaluate it concurrently
+/// (law-tier replicates on the pool). Every ln Gamma in the library
+/// goes through here.
+[[nodiscard]] double log_gamma(double x) noexcept;
+
+/// ln(k!) via log_gamma.
 [[nodiscard]] double log_factorial(std::uint64_t k);
 
 /// Kolmogorov survival function Q(lambda) = 2 sum_{k>=1} (-1)^{k-1}

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "bbb/stats/special_functions.hpp"
+
 namespace bbb::theory {
 
 namespace {
@@ -17,7 +19,7 @@ double log_binomial_pmf(std::uint64_t m, std::uint64_t n, std::uint32_t k) {
   const auto md = static_cast<double>(m);
   const auto kd = static_cast<double>(k);
   const double log_choose =
-      std::lgamma(md + 1.0) - std::lgamma(kd + 1.0) - std::lgamma(md - kd + 1.0);
+      stats::log_gamma(md + 1.0) - stats::log_gamma(kd + 1.0) - stats::log_gamma(md - kd + 1.0);
   const double p = 1.0 / static_cast<double>(n);
   return log_choose + kd * std::log(p) + (md - kd) * std::log1p(-p);
 }

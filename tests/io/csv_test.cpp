@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 namespace bbb::io {
 namespace {
@@ -19,7 +20,10 @@ std::string slurp(const std::string& path) {
 class CsvWriterTest : public ::testing::Test {
  protected:
   void TearDown() override { std::remove(path_.c_str()); }
-  std::string path_ = ::testing::TempDir() + "bbb_csv_test.csv";
+  // One file per test: ctest -j runs the cases as concurrent processes.
+  std::string path_ =
+      ::testing::TempDir() + "bbb_csv_test_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() + ".csv";
 };
 
 TEST_F(CsvWriterTest, HeaderAndRows) {

@@ -118,6 +118,7 @@ TEST(Registry, BothFactoriesAgreeOnBatchedArgs) {
       {"capacities=1,2:greedy[0]", false},
       {"capacities=0:greedy[2]", false},
       {"shards[2]:capacities=1,2:greedy[2]", false},
+      {"shards[257]:greedy[2]", false},
       {"weighted:greedy[2]", false},  {"nonsense", false},
   };
   for (const Case& c : cases) {
@@ -135,6 +136,9 @@ TEST(Registry, BothFactoriesAgreeOnBatchedArgs) {
           << c.spec;
     }
   }
+  // The shard cap is n-independent: shards[256] parses, shards[257] above
+  // does not.
+  EXPECT_EQ(make_protocol("shards[256]:greedy[2]")->name(), "shards[256]:greedy[2]");
   EXPECT_EQ(make_protocol("batched")->name(), "batched[2]");
   EXPECT_EQ(make_rule("batched", 8)->name(), "batched[2]");
 }

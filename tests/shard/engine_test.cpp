@@ -28,6 +28,7 @@
 #include "bbb/core/bin_state.hpp"
 #include "bbb/core/protocols/registry.hpp"
 #include "bbb/core/rule.hpp"
+#include "bbb/core/spec.hpp"
 #include "bbb/rng/engine.hpp"
 #include "bbb/rng/streams.hpp"
 #include "bbb/shard/engine.hpp"
@@ -324,6 +325,9 @@ TEST(ShardLockstep, MultiShardMatchesSequentialReplayBitForBit) {
       {RKind::kLeft, 2, "left[2]", 50, 2, 32, 3'333},
       {RKind::kLeft, 4, "left[4]", 120, 6, 48, 4'999},
       {RKind::kGreedy, 2, "greedy[2]", 64, 2, 1u << 20, 1'000},  // clamped round
+      // Conflict-saturated at t = 8: worker 0's cleanup writes land in
+      // seven remote shards.
+      {RKind::kGreedy, 2, "greedy[2]", 32, 8, 128, 4'001},
   };
   int index = 0;
   for (const ReplayCase& c : cases) {
@@ -364,6 +368,11 @@ TEST(ShardLockstep, ConflictSaturatedRoundsActuallyDefer) {
   EXPECT_GT(engine.counters().cross_shard_probes, 0u);
   EXPECT_GT(engine.counters().messages, 0u);
   EXPECT_GT(engine.counters().rounds, 0u);
+  // Messages are cross-shard inbox entries: every cross-shard probe, plus
+  // at most one commit per ball decided outside the cleanup replay.
+  const ShardCounters& c = engine.counters();
+  EXPECT_LE(c.cross_shard_probes, c.messages);
+  EXPECT_LE(c.messages, c.cross_shard_probes + c.balls - c.deferred_balls);
   // round_total = clamp(round_balls, shards, 65535 * shards) = 64.
   EXPECT_EQ(engine.sync_rounds(), (2'000 + 63) / 64);  // ceil(m / round_total)
 }
@@ -500,6 +509,10 @@ TEST(ShardEngine, RejectsInvalidConfigurations) {
   // Degenerate partitions.
   EXPECT_THROW(ShardedAllocator("greedy[2]", 4, many), std::invalid_argument);
   EXPECT_THROW(ShardedAllocator("greedy[2]", 64, none), std::invalid_argument);
+  // Above the n-independent cap, however many bins there are.
+  ShardOptions over_cap;
+  over_cap.shards = core::kMaxShards + 1;
+  EXPECT_THROW(ShardedAllocator("greedy[2]", 1u << 16, over_cap), std::invalid_argument);
   // Unknown inner spec still fails through the registry.
   EXPECT_THROW(ShardedAllocator("no-such-rule", 64, two), std::invalid_argument);
   // Single-shard mode supports everything the registry does.
@@ -514,6 +527,9 @@ TEST(ShardEngine, RegistryIntegration) {
   EXPECT_EQ(core::make_protocol("shards[4]:greedy[2]")->name(), "shards[4]:greedy[2]");
   EXPECT_EQ(core::make_protocol("shards[1]:adaptive")->name(), "shards[1]:adaptive");
   EXPECT_THROW(core::make_protocol("shards[0]:greedy[2]"), std::invalid_argument);
+  EXPECT_THROW(core::make_protocol("shards[257]:greedy[2]"), std::invalid_argument);
+  EXPECT_THROW(core::make_protocol("shards[4294967295]:greedy[2]"),
+               std::invalid_argument);
   EXPECT_THROW(core::make_protocol("shards[2]:adaptive"), std::invalid_argument);
   EXPECT_THROW(core::make_protocol("shards[x]:greedy[2]"), std::invalid_argument);
   EXPECT_THROW(core::make_protocol("shards[2]:shards[2]:greedy[2]"),
