@@ -398,28 +398,30 @@ class BinState {
     return lanes_.data();
   }
 
- private:
-  /// The batch placement kernel (core/batch_kernel.hpp) commits validated
-  /// waves through batch_add_unit_lane and reads the lane slab directly.
-  friend class BatchPlacer;
-
-  /// Register-resident view of every counter the lean batch commit
-  /// touches. The commit walk stores through the 8-bit lane slab, and
-  /// byte stores alias *everything* under TBAA — with the counters live
-  /// in BinState members the compiler must reload data pointers, sizes,
-  /// and accumulators from memory on every ball. Checking them out into
-  /// this struct for the duration of a wave walk lets them live in
-  /// registers; batch_end() writes them back. While a checkout is live
-  /// the BinState members are stale: any exact-path call (add_ball) must
-  /// be bracketed by batch_end / batch_begin.
+  /// A batch checkout: the writable lane slab plus every counter the
+  /// batch kernel's lean commit touches (core/batch_kernel.cpp). The
+  /// commit walk stores through the 8-bit lane slab, and byte stores
+  /// alias *everything* under TBAA — with the counters live in BinState
+  /// members the compiler must reload data pointers, sizes, and
+  /// accumulators from memory on every ball. A walk copies a checkout
+  /// into locals, which live in registers, and writes them back on exit.
+  /// Only the kernel can take one (batch_begin is private to it); while a
+  /// checkout is live the BinState members are stale, so any exact-path
+  /// call (add_ball, load) must come after batch_end.
   struct BatchMetrics {
+    std::uint8_t* lanes;        // lanes_.data()
     std::uint32_t* count;       // levels_.count.data()
     std::uint32_t count_size;   // levels_.count.size()
     std::uint64_t balls;
     std::uint64_t sum_sq;
     double phi;
-    const double* pow_tab;      // pow_neg_.data(), valid through lane 255
+    const double* pow_tab;      // pow_neg_.data(), valid through lane 254
   };
+
+ private:
+  /// The batch placement kernel (core/batch_kernel.hpp) checks the lean
+  /// commit's counters out and writes the lane slab directly.
+  friend class BatchPlacer;
 
   /// Check the lean-commit counters out of the state. Also pre-extends
   /// the (1+eps)^{-l} cache through every load the fast path can produce
@@ -431,7 +433,8 @@ class BinState {
     if (pow_neg_.size() < kCompactLaneMax) {
       (void)pow_neg_slow(kCompactLaneMax - 1);
     }
-    return BatchMetrics{levels_.count.data(),
+    return BatchMetrics{lanes_.data(),
+                        levels_.count.data(),
                         static_cast<std::uint32_t>(levels_.count.size()),
                         balls_,
                         sum_sq_,
@@ -440,12 +443,12 @@ class BinState {
   }
 
   /// Write a checkout back. count/count_size need no reconciliation (the
-  /// histogram vector itself only changes through batch_grow_levels,
-  /// which updates both sides), but min/max do: the lean commit does not
+  /// lean commit never grows the histogram: a ball that needs a new level
+  /// goes through add_ball), but min/max do: the lean commit does not
   /// track them per ball — they are re-derived here from histogram
   /// occupancy. A batch walk only adds balls, so min moves up or stays,
-  /// and the scan down from the top of the (grow-to-fit) histogram stops
-  /// at or above the old max; both scans are bounded by the lane range.
+  /// and the scan down from the top of the histogram stops at or above
+  /// the old max; both scans are bounded by the lane range.
   void batch_end(const BatchMetrics& m) noexcept {
     balls_ = m.balls;
     sum_sq_ = m.sum_sq;
@@ -454,38 +457,6 @@ class BinState {
     auto hi = static_cast<std::uint32_t>(levels_.count.size()) - 1;
     while (levels_.count[hi] == 0) --hi;
     levels_.max = hi;
-  }
-
-  /// Cold path of the lean commit's grow-to-fit: the histogram keeps the
-  /// exact length the scalar move_up would give it (its length is part of
-  /// the observable state the lockstep tests compare).
-  void batch_grow_levels(BatchMetrics& m, std::uint32_t need) {
-    levels_.count.resize(need, 0);
-    m.count = levels_.count.data();
-    m.count_size = need;
-  }
-
-  /// Lean weight-1 commit for the batch kernel: add_ball with every
-  /// branch the kernel's wave validation already discharged removed.
-  /// Preconditions (validated per wave, never re-checked here): compact
-  /// layout, uniform capacities (classes_ empty), m is the live checkout,
-  /// and l == lanes_[bin] with l + 1 < kCompactLaneMax (no promotion,
-  /// no side-table). The metric updates replay add_ball's exact FP
-  /// operation order so Ψ and lnΦ stay bit-identical to the scalar
-  /// stream. Inlined unit-weight move_up: when the last min-level bin
-  /// moves up the next occupied level is exactly l + 1 — one step, never
-  /// a scan.
-  void batch_add_unit_lane(BatchMetrics& m, std::uint32_t bin,
-                           std::uint32_t l) {
-    lanes_[bin] = static_cast<std::uint8_t>(l + 1);
-    ++m.balls;
-    if (l + 1 >= m.count_size) [[unlikely]] {
-      batch_grow_levels(m, l + 2);
-    }
-    --m.count[l];
-    ++m.count[l + 1];
-    m.sum_sq += 2ULL * l + 1;  // (2l + w) w with w = 1
-    m.phi += m.pow_tab[l + 1] - m.pow_tab[l];
   }
 
   /// Histogram of bin loads for one group of bins, with incremental

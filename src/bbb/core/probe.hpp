@@ -38,6 +38,7 @@
 /// engine (which interleaves workload draws on the same engine) does not.
 
 #include <cstdint>
+#include <cstring>
 
 #include "bbb/rng/engine.hpp"
 
@@ -83,9 +84,12 @@ class ProbeLookahead {
 
   /// Bulk form of `next`: exactly `count` words into `dst`, buffered
   /// residue first, then the live engine — the same word stream next()
-  /// would deliver one call at a time. Splitting the drain from the draw
-  /// lets the compiler keep the engine state in registers across the
-  /// fresh-draw loop, which matters to the batch kernel's wave fill.
+  /// would deliver one call at a time. The fresh draws run on a local
+  /// copy of the engine, written back once: `dst` and the engine's state
+  /// words are both uint64 lvalues, so drawing through `gen` directly
+  /// would oblige the compiler to reload and store all four state words
+  /// around every `*dst` store. The local copy is what keeps the state in
+  /// registers across the batch kernel's wave fill.
   template <rng::Engine64 Engine>
   void next_block(Engine& gen, std::uint64_t* dst, std::uint32_t count) {
     while (pos_ != fill_ && count != 0) {
@@ -94,19 +98,25 @@ class ProbeLookahead {
     }
     if (count == 0) return;
     ++refills_;  // one bulk draw is one buffer-refill's worth of traffic
-    for (; count != 0; --count) *dst++ = gen();
+    Engine local = gen;
+    for (; count != 0; --count) *dst++ = local();
+    gen = local;
   }
 
   /// Hand back words the batch kernel (core/batch_kernel.hpp) drew ahead
   /// but did not consume (at most a partial ball's worth). They are
-  /// served before any fresh engine draw, so a place_one following a
-  /// place_batch sees exactly the word a pure place_one stream would.
-  /// Precondition: the queue is empty (the kernel drains it before
-  /// drawing fresh words) and count <= kCapacity.
+  /// served before anything still queued and before any fresh engine
+  /// draw, so a place_one following a place_batch sees exactly the word a
+  /// pure place_one stream would. Precondition: the words are the last
+  /// `count` the kernel drew, so count plus the words still queued is at
+  /// most kCapacity — when the queue is non-empty the kernel's last draw
+  /// came wholly out of it, residue included.
   void push_residue(const std::uint64_t* words, std::uint32_t count) noexcept {
+    const std::uint32_t queued = fill_ - pos_;
+    std::memmove(buf_ + count, buf_ + pos_, queued * sizeof(std::uint64_t));
+    std::memcpy(buf_, words, count * sizeof(std::uint64_t));
     pos_ = 0;
-    fill_ = count;
-    for (std::uint32_t k = 0; k < count; ++k) buf_[k] = words[k];
+    fill_ = count + queued;
   }
 
   /// Ensure at least `need` words are buffered (no-op when disabled or

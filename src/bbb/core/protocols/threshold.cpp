@@ -1,6 +1,8 @@
 #include "bbb/core/protocols/threshold.hpp"
 
+#include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "bbb/core/probe.hpp"
 
@@ -17,8 +19,17 @@ ThresholdRule::ThresholdRule(std::uint32_t n, std::uint64_t m, std::uint32_t sla
   if (slack == 0 && m == 0) {
     throw std::invalid_argument("ThresholdRule: slack 0 needs m > 0");
   }
-  const auto base = static_cast<std::uint32_t>(ceil_div(m, n));
-  bound_ = slack == 0 ? (base == 0 ? 0 : base - 1) : base + (slack - 1);
+  // The bound is computed in 64 bits: ceil(m/n) + slack - 1 overflows a
+  // uint32 for slack near 2^32 (or m/n beyond it), and a wrapped bound
+  // would reject every bin mid-run.
+  const std::uint64_t base = ceil_div(m, n);
+  const std::uint64_t bound = slack == 0 ? (base == 0 ? 0 : base - 1) : base + (slack - 1);
+  if (bound > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::invalid_argument(
+        "ThresholdRule: acceptance bound ceil(m/n) + slack - 1 must be <= 2^32 - 1, got " +
+        std::to_string(bound));
+  }
+  bound_ = static_cast<std::uint32_t>(bound);
 }
 
 std::string ThresholdRule::name() const {

@@ -31,7 +31,8 @@ class ThresholdRule final : public PlacementRule {
  public:
   /// \param n bins; \param m total balls the bound is provisioned for;
   /// \param slack integer slack c (see file comment), default 1 (paper).
-  /// \throws std::invalid_argument if n == 0, or if slack == 0 with m == 0.
+  /// \throws std::invalid_argument if n == 0, if slack == 0 with m == 0,
+  ///         or if the bound ceil(m/n) + slack - 1 exceeds 2^32 - 1.
   ThresholdRule(std::uint32_t n, std::uint64_t m, std::uint32_t slack = 1);
 
   [[nodiscard]] std::string name() const override;

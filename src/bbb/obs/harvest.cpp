@@ -20,6 +20,7 @@ void CoreCounters::accumulate(const CoreCounters& other) noexcept {
   batch_waves += other.batch_waves;
   batch_fast_balls += other.batch_fast_balls;
   batch_fallback_balls += other.batch_fallback_balls;
+  batch_exact_balls += other.batch_exact_balls;
   hugepage_bytes += other.hugepage_bytes;
 }
 
@@ -44,6 +45,7 @@ CoreCounters harvest(const core::PlacementRule& rule, const core::BinState* stat
     c.batch_waves = bk->waves();
     c.batch_fast_balls = bk->fast_balls();
     c.batch_fallback_balls = bk->fallback_balls();
+    c.batch_exact_balls = bk->exact_balls();
   }
   if (state != nullptr) {
     c.compact_promotions = state->compact_promotions();
@@ -85,6 +87,7 @@ void fold_into(MetricsRegistry& registry, const CoreCounters& counters) {
     registry.add_counter("core.batch.fast_balls", counters.batch_fast_balls);
     registry.add_counter("core.batch.fallback_balls",
                          counters.batch_fallback_balls);
+    registry.add_counter("core.batch.exact_balls", counters.batch_exact_balls);
   }
   if (counters.hugepage_bytes != 0) {
     registry.add_counter("core.state.hugepage_bytes", counters.hugepage_bytes);

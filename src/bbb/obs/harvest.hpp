@@ -22,7 +22,8 @@
 ///   core.weighted.explode_fallbacks  weighted chains placed unit-by-unit
 ///   core.batch.batches               kernel-path place_batch calls
 ///   core.batch.waves                 batch-kernel waves processed
-///   core.batch.fast_balls            balls committed by the vector path
+///   core.batch.fast_balls            balls placed by the wave path
+///   core.batch.exact_balls           of those, placed by the exact step
 ///   core.batch.fallback_balls        balls re-run on the exact scalar path
 ///   core.state.hugepage_bytes        compact lane slab bytes on huge pages
 ///   shard.sync_rounds                synchronized rounds, summed over shards
@@ -54,6 +55,7 @@ struct CoreCounters {
   std::uint64_t batch_waves = 0;
   std::uint64_t batch_fast_balls = 0;
   std::uint64_t batch_fallback_balls = 0;
+  std::uint64_t batch_exact_balls = 0;
   // Cold: a property of the state's allocation, read once per run;
   // appended last so the per-run counters above keep their offsets.
   std::uint64_t hugepage_bytes = 0;

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -60,10 +61,15 @@ void expect_states_equal(const BinState& a, const BinState& b) {
 
 /// Drive `m` balls through place_one (reference) and place_batch (kernel
 /// path when eligible) from the same seed and compare every placement.
+/// A third stream runs place_batch with no bins buffer — the path sim,
+/// bbb_bench and perfbench take, a separate instantiation of each walk —
+/// and must match on every state observable, the probe count, and the
+/// bin of one place_one issued after the batch (which pins the engine +
+/// lookahead position).
 void expect_lockstep(const Family& family, std::uint32_t n, std::uint64_t m,
-                     std::uint64_t seed = 42,
+                     const rng::Engine& start,
                      StateLayout layout = StateLayout::kCompact) {
-  rng::Engine gen_ref(seed);
+  rng::Engine gen_ref(start);
   BinState ref_state(n, layout);
   auto ref_rule = family.make(n);
   ref_rule->set_engine_exclusive(true);
@@ -72,7 +78,7 @@ void expect_lockstep(const Family& family, std::uint32_t n, std::uint64_t m,
     ref_bins[i] = ref_rule->place_one(ref_state, gen_ref);
   }
 
-  rng::Engine gen_bat(seed);
+  rng::Engine gen_bat(start);
   BinState bat_state(n, layout);
   auto bat_rule = family.make(n);
   bat_rule->set_engine_exclusive(true);
@@ -86,6 +92,23 @@ void expect_lockstep(const Family& family, std::uint32_t n, std::uint64_t m,
   EXPECT_EQ(ref_rule->probes(), bat_rule->probes());
   EXPECT_EQ(ref_rule->total_placed(), bat_rule->total_placed());
   expect_states_equal(ref_state, bat_state);
+
+  rng::Engine gen_nul(start);
+  BinState nul_state(n, layout);
+  auto nul_rule = family.make(n);
+  nul_rule->set_engine_exclusive(true);
+  nul_rule->place_batch(nul_state, m, gen_nul);
+  EXPECT_EQ(ref_rule->probes(), nul_rule->probes()) << family.name << " m=" << m;
+  expect_states_equal(ref_state, nul_state);
+  EXPECT_EQ(ref_rule->place_one(ref_state, gen_ref),
+            nul_rule->place_one(nul_state, gen_nul))
+      << family.name << " n=" << n << " m=" << m;
+}
+
+void expect_lockstep(const Family& family, std::uint32_t n, std::uint64_t m,
+                     std::uint64_t seed = 42,
+                     StateLayout layout = StateLayout::kCompact) {
+  expect_lockstep(family, n, m, rng::Engine(seed), layout);
 }
 
 TEST(BatchKernel, LockstepAcrossBatchSizesOneToSixtyFour) {
@@ -121,27 +144,73 @@ TEST(BatchKernel, LockstepOnLargeFastPathState) {
   // The live-lane commit serializes in-wave duplicates instead of
   // falling back, and a power-of-two bound never raises a Lemire
   // rejection — so on this state every single ball must take the wave
-  // walk, checked by the kernel counters.
+  // path, checked by the kernel counters. No lane nears kFastLoadMax, so
+  // only balls opening a new top histogram level step out of the walk to
+  // the exact one-ball step: at most max_load() of them.
+  constexpr std::uint32_t kN = 1u << 20;
   for (const Family& family : kFamilies) {
-    expect_lockstep(family, /*n=*/1u << 20, /*m=*/20000, /*seed=*/3);
+    expect_lockstep(family, kN, /*m=*/20000, /*seed=*/3);
+    auto rule = family.make(kN);
+    BinState state(kN, StateLayout::kCompact);
+    rng::Engine gen(3);
+    rule->set_engine_exclusive(true);
+    rule->place_batch(state, 20000, gen);
+    const BatchPlacer* kernel = rule->batch_kernel();
+    ASSERT_NE(kernel, nullptr) << family.name;
+    if (kernel->batches() == 0) continue;  // greedy[3]: the base loop
+    EXPECT_EQ(kernel->fast_balls(), 20000u) << family.name;
+    EXPECT_EQ(kernel->fallback_balls(), 0u) << family.name;
+    EXPECT_GT(kernel->exact_balls(), 0u) << family.name;
+    EXPECT_LE(kernel->exact_balls(), state.max_load()) << family.name;
   }
-  DChoiceRule rule(2);
-  BinState state(1u << 20, StateLayout::kCompact);
-  rng::Engine gen(3);
-  rule.set_engine_exclusive(true);
-  rule.place_batch(state, 20000, gen);
-  ASSERT_NE(rule.batch_kernel(), nullptr);
-  EXPECT_EQ(rule.batch_kernel()->fast_balls(), 20000u);
-  EXPECT_EQ(rule.batch_kernel()->fallback_balls(), 0u);
 }
 
 TEST(BatchKernel, LockstepAcrossSideTablePromotion) {
   // m = 300 * n pushes every lane through the 255 -> 256 promotion: the
-  // saturation guard must hand the near-ceiling waves to the exact scalar
-  // path, and placements must stay identical straight through it.
+  // walk must step every ball near or past the ceiling out to the exact
+  // step, and placements must stay identical straight through it.
   for (const Family& family : kFamilies) {
     expect_lockstep(family, /*n=*/8, /*m=*/8 * 300, /*seed=*/11);
     expect_lockstep(family, /*n=*/64, /*m=*/64 * 260, /*seed=*/13);
+  }
+  for (const Family& family : kFamilies) {
+    auto rule = family.make(8);
+    BinState state(8, StateLayout::kCompact);
+    rng::Engine gen(11);
+    rule->set_engine_exclusive(true);
+    rule->place_batch(state, 8 * 300, gen);
+    const BatchPlacer* kernel = rule->batch_kernel();
+    ASSERT_NE(kernel, nullptr) << family.name;
+    if (kernel->batches() == 0) continue;  // greedy[3]: the base loop
+    // Far more exact steps than levels: every ball with a candidate lane
+    // above kFastLoadMax takes one.
+    EXPECT_GT(kernel->exact_balls(), state.max_load()) << family.name;
+    EXPECT_LE(kernel->exact_balls(), kernel->fast_balls()) << family.name;
+  }
+}
+
+TEST(BatchKernel, LockstepThroughRejectionReplay) {
+  // An engine whose first word is 0: low64(0 * bound) = 0 is a Lemire
+  // rejection candidate for every bound that is not a power of two, so
+  // the first wave replays through the exact step (uniform_below retries
+  // the word) and later waves — greedy[2] carrying residue — resume the
+  // walk. A rejection is otherwise a ~n / 2^64 event per word.
+  const rng::Engine start(std::array<std::uint64_t, 4>{0, 0x9E3779B97F4A7C15ULL,
+                                                       0xBF58476D1CE4E5B9ULL, 0});
+  for (const Family& family : kFamilies) {
+    for (const std::uint64_t m : {1u, 2u, 700u, 2 * BatchPlacer::kWaveWords + 5}) {
+      expect_lockstep(family, /*n=*/97, m, start);
+    }
+    auto rule = family.make(97);
+    BinState state(97, StateLayout::kCompact);
+    rng::Engine gen(start);
+    rule->set_engine_exclusive(true);
+    rule->place_batch(state, 700, gen);
+    const BatchPlacer* kernel = rule->batch_kernel();
+    ASSERT_NE(kernel, nullptr) << family.name;
+    if (kernel->batches() == 0) continue;  // greedy[3]: the base loop
+    EXPECT_GT(kernel->fallback_balls(), 0u) << family.name;
+    EXPECT_EQ(kernel->fast_balls() + kernel->fallback_balls(), 700u) << family.name;
   }
 }
 
@@ -191,6 +260,41 @@ TEST(BatchKernel, InterleavedPlaceOneAndBatchMatchesPureStream) {
       ASSERT_EQ(ref_bins[i], mix_bins[i]) << family.name << " ball " << i;
     }
     expect_states_equal(ref_state, mix_state);
+  }
+  // A short batch right after a place_one: place_one topped the lookahead
+  // up to kCapacity words and the batch drains only a few of them, so the
+  // greedy[2] residue must go back *ahead of* the words still queued.
+  for (const Family& family : kFamilies) {
+    for (const std::uint64_t batch : {1, 3, 8, 20, 31, 32, 40}) {
+      const std::uint32_t n = 512;
+      rng::Engine gen_ref(99);
+      BinState ref_state(n, StateLayout::kCompact);
+      auto ref_rule = family.make(n);
+      ref_rule->set_engine_exclusive(true);
+      std::vector<std::uint32_t> ref_bins;
+      for (std::uint64_t i = 0; i < 17 + batch; ++i) {
+        ref_bins.push_back(ref_rule->place_one(ref_state, gen_ref));
+      }
+
+      rng::Engine gen_mix(99);
+      BinState mix_state(n, StateLayout::kCompact);
+      auto mix_rule = family.make(n);
+      mix_rule->set_engine_exclusive(true);
+      std::vector<std::uint32_t> mix_bins;
+      mix_bins.push_back(mix_rule->place_one(mix_state, gen_mix));
+      std::vector<std::uint32_t> got(batch);
+      mix_rule->place_batch(mix_state, batch, gen_mix, got.data());
+      mix_bins.insert(mix_bins.end(), got.begin(), got.end());
+      for (int i = 0; i < 16; ++i) {
+        mix_bins.push_back(mix_rule->place_one(mix_state, gen_mix));
+      }
+      ASSERT_EQ(ref_bins.size(), mix_bins.size());
+      for (std::size_t i = 0; i < ref_bins.size(); ++i) {
+        ASSERT_EQ(ref_bins[i], mix_bins[i])
+            << family.name << " batch " << batch << " ball " << i;
+      }
+      expect_states_equal(ref_state, mix_state);
+    }
   }
 }
 

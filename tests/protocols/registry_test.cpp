@@ -4,6 +4,7 @@
 
 #include <memory>
 
+#include "bbb/core/protocols/threshold.hpp"
 #include "bbb/rng/xoshiro256.hpp"
 
 namespace bbb::core {
@@ -149,6 +150,23 @@ TEST(Registry, ProtocolRunChecksNDependentLimits) {
   rng::Engine gen(1);
   EXPECT_THROW((void)protocol->run(10, 8, gen), std::invalid_argument);  // d > n
   EXPECT_NO_THROW((void)protocol->run(10, 9, gen));
+}
+
+TEST(Registry, ThresholdBoundDomainCheckedAtBind) {
+  // threshold[c] at n = 16, m = 64 accepts load <= ceil(m/n) + c - 1 =
+  // c + 3. A slack whose bound passes 2^32 - 1 is rejected at bind — a
+  // uint32 bound would wrap to 2, 1 or 0 and die mid-run instead.
+  for (const char* spec :
+       {"threshold[4294967295]", "threshold[4294967294]", "threshold[4294967293]"}) {
+    EXPECT_THROW((void)make_rule(spec, 16, 64), std::invalid_argument) << spec;
+    const auto protocol = make_protocol(spec);
+    rng::Engine gen(1);
+    EXPECT_THROW((void)protocol->run(64, 16, gen), std::invalid_argument) << spec;
+  }
+  const auto rule = make_rule("threshold[4294967292]", 16, 64);
+  EXPECT_EQ(dynamic_cast<const ThresholdRule&>(*rule).accept_bound(), 4294967295u);
+  rng::Engine gen(1);
+  EXPECT_NO_THROW((void)make_protocol("threshold[4294967292]")->run(64, 16, gen));
 }
 
 TEST(Registry, SpecListNonEmptyAndDocumentsShapes) {

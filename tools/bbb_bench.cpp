@@ -415,10 +415,12 @@ int main(int argc, char** argv) {
                         ", \"batch_batches\": %" PRIu64
                         ", \"batch_waves\": %" PRIu64
                         ", \"batch_fast_balls\": %" PRIu64
-                        ", \"batch_fallback_balls\": %" PRIu64,
+                        ", \"batch_fallback_balls\": %" PRIu64
+                        ", \"batch_exact_balls\": %" PRIu64,
                         c.counters.batch_batches, c.counters.batch_waves,
                         c.counters.batch_fast_balls,
-                        c.counters.batch_fallback_balls);
+                        c.counters.batch_fallback_balls,
+                        c.counters.batch_exact_balls);
           out += buf;
         }
         out += "}";

@@ -65,7 +65,7 @@ def v3_record():
     rec["machine"]["simd"] = "avx2"
     rec["cases"][0]["obs"].update(
         {"batch_batches": 1, "batch_waves": 1024, "batch_fast_balls": 131072,
-         "batch_fallback_balls": 0})
+         "batch_fallback_balls": 0, "batch_exact_balls": 9})
     return rec
 
 
