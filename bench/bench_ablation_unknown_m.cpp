@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
   bbb::bench::add_common_flags(args, 10);
   if (!args.parse(argc, argv)) return 0;
   const auto flags = bbb::bench::read_common_flags(args);
-  const auto n = static_cast<std::uint32_t>(args.get_u64("n"));
+  const auto n = args.get_u32("n");
 
   bbb::bench::print_header(
       "Extension: the unknown-m problem (paper §1.1)",

@@ -22,8 +22,8 @@ int main(int argc, char** argv) {
   bbb::bench::add_common_flags(args, 10);
   if (!args.parse(argc, argv)) return 0;
   const auto flags = bbb::bench::read_common_flags(args);
-  const auto n = static_cast<std::uint32_t>(args.get_u64("n"));
-  const auto trials = static_cast<std::uint32_t>(args.get_u64("trials"));
+  const auto n = args.get_u32("n");
+  const auto trials = args.get_u32("trials");
 
   bbb::bench::print_header(
       "Lemma A.7 + Theorem 4.1 proof internals (SPAA'13)",

@@ -37,8 +37,8 @@ struct CommonFlags {
 
 inline CommonFlags read_common_flags(const io::ArgParser& args) {
   const bool smoke = args.get_u64("smoke") != 0;
-  return CommonFlags{smoke ? 1u : static_cast<std::uint32_t>(args.get_u64("reps")),
-                     args.get_u64("seed"), io::parse_format(args.get_string("format")),
+  return CommonFlags{smoke ? 1u : args.get_u32("reps"), args.get_u64("seed"),
+                     io::parse_format(args.get_string("format")),
                      static_cast<std::size_t>(args.get_u64("threads")), smoke};
 }
 

@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
   const auto n =
       static_cast<std::uint32_t>(bbb::bench::smoke_or(flags, args.get_u64("n"), 256));
   const double lambda = static_cast<double>(args.get_u64("lambda")) / 100.0;
-  const auto kmax = static_cast<std::uint32_t>(args.get_u64("kmax"));
+  const auto kmax = args.get_u32("kmax");
 
   bbb::bench::print_header(
       "Supermarket model (Luczak-McDiarmid)",

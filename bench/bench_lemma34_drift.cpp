@@ -19,8 +19,8 @@ int main(int argc, char** argv) {
   bbb::bench::add_common_flags(args, 1);
   if (!args.parse(argc, argv)) return 0;
   const auto flags = bbb::bench::read_common_flags(args);
-  const auto n = static_cast<std::uint32_t>(args.get_u64("n"));
-  const auto stages = static_cast<std::uint32_t>(args.get_u64("stages"));
+  const auto n = args.get_u32("n");
+  const auto stages = args.get_u32("stages");
 
   bbb::bench::print_header(
       "Lemmas 3.2-3.4 (SPAA'13)",

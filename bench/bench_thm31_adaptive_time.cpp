@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
   bbb::bench::add_common_flags(args, 10);
   if (!args.parse(argc, argv)) return 0;
   const auto flags = bbb::bench::read_common_flags(args);
-  const auto n_fixed = static_cast<std::uint32_t>(args.get_u64("n"));
+  const auto n_fixed = args.get_u32("n");
   const auto phi_fixed = args.get_u64("phi");
 
   bbb::bench::print_header("Theorem 3.1 (SPAA'13)",

@@ -31,8 +31,8 @@ int main(int argc, char** argv) {
   if (!args.parse(argc, argv)) return 0;
 
   const auto jobs = args.get_u64("jobs");
-  const auto servers = static_cast<std::uint32_t>(args.get_u64("servers"));
-  const auto threads = static_cast<std::uint32_t>(args.get_u64("threads"));
+  const auto servers = args.get_u32("servers");
+  const auto threads = args.get_u32("threads");
 
   bbb::core::ConcurrentAdaptiveAllocator dispatcher(servers);
   bbb::rng::SeedSequence seq(args.get_u64("seed"));

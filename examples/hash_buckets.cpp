@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
   if (!args.parse(argc, argv)) return 0;
 
   const auto m = args.get_u64("keys");
-  const auto n = static_cast<std::uint32_t>(args.get_u64("buckets"));
+  const auto n = args.get_u32("buckets");
   const auto seed = args.get_u64("seed");
   const auto bound = static_cast<std::uint32_t>(bbb::core::ceil_div(m, n) + 1);
 

@@ -86,8 +86,8 @@ int main(int argc, char** argv) {
   if (!args.parse(argc, argv)) return 0;
 
   const auto jobs = args.get_u64("jobs");
-  const auto servers = static_cast<std::uint32_t>(args.get_u64("servers"));
-  const auto snapshots = static_cast<std::uint32_t>(args.get_u64("snapshots"));
+  const auto servers = args.get_u32("servers");
+  const auto snapshots = args.get_u32("snapshots");
   const auto seed = args.get_u64("seed");
   const auto format = bbb::io::parse_format(args.get_string("format"));
 

@@ -26,9 +26,9 @@ int main(int argc, char** argv) {
   args.add_flag("format", std::string("ascii"), "ascii|markdown|csv");
   if (!args.parse(argc, argv)) return 0;
 
-  const auto lo = static_cast<std::uint32_t>(args.get_u64("min-exp"));
-  const auto hi = static_cast<std::uint32_t>(args.get_u64("max-exp"));
-  const auto capacity = static_cast<std::uint32_t>(args.get_u64("capacity"));
+  const auto lo = args.get_u32("min-exp");
+  const auto hi = args.get_u32("max-exp");
+  const auto capacity = args.get_u32("capacity");
   const auto format = bbb::io::parse_format(args.get_string("format"));
 
   const auto protocol =

@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
   args.add_flag("format", std::string("ascii"), "ascii|markdown|csv");
   if (!args.parse(argc, argv)) return 0;
 
-  const auto n = static_cast<std::uint32_t>(args.get_u64("n"));
+  const auto n = args.get_u32("n");
   const auto m = args.get_u64("phi") * n;
   const auto points = args.get_u64("points");
   const auto seed = args.get_u64("seed");

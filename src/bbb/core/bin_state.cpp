@@ -74,13 +74,6 @@ std::string_view to_string(StateLayout layout) noexcept {
   return layout == StateLayout::kWide ? "wide" : "compact";
 }
 
-StateLayout parse_state_layout(std::string_view text) {
-  if (text == "wide") return StateLayout::kWide;
-  if (text == "compact") return StateLayout::kCompact;
-  throw std::invalid_argument("unknown state layout '" + std::string(text) +
-                              "' (expected wide|compact)");
-}
-
 BinState::BinState(std::uint32_t n, StateLayout layout)
     : n_(n),
       layout_(layout),

@@ -26,9 +26,11 @@
 ///     overflow side-table and demoted again when its load drops back
 ///     below. n = 2^30 bins fit in ~1 GiB instead of the wide layout's
 ///     ~12 GiB (loads + nonempty index). Right-sized for the m = O(n)
-///     regimes giant runs live in; if *most* bins exceed load 254 (say
-///     m >= 200n) the side-table dominates and wide is the better pick.
-///     Two API features are unavailable:
+///     regimes giant runs live in; once the heaviest bins near load 255
+///     the side-table dominates and wide is the better pick
+///     (core::preferred_layout encodes that cliff; sim, dyn and trace
+///     runs pick their layout through it). Two API features are
+///     unavailable:
 ///     `loads()` (borrow the wide vector; use `copy_loads()` or `load()`)
 ///     and `sample_nonempty` (no id index is maintained) throw
 ///     std::logic_error. Every metric — max/min/gap/Ψ/lnΦ/level counts,
@@ -136,11 +138,9 @@ class LaneSlab {
   std::size_t hugepage_bytes_ = 0;
 };
 
-/// Canonical spelling ("wide" / "compact") for CLIs and JSON records.
+/// Canonical spelling ("wide" / "compact") for describe() lines and JSON
+/// records.
 [[nodiscard]] std::string_view to_string(StateLayout layout) noexcept;
-
-/// Parse "wide" / "compact". \throws std::invalid_argument otherwise.
-[[nodiscard]] StateLayout parse_state_layout(std::string_view text);
 
 /// Bin loads plus incremental metrics. Mutators are O(1) amortized per
 /// unit of weight moved; metric reads are O(1) (normalized max/min/gap:

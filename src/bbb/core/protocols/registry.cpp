@@ -39,6 +39,7 @@ struct ParsedProtocol {
   SpecPrefix prefix;
   std::string name;  ///< e.g. "greedy[2]", "capacities=1,2:greedy[2]"
   RuleBinder bind;
+  bool needs_wide = false;  ///< batched[k]: its LW rounds run on wide states only
 };
 
 std::uint32_t arg_at(const ParsedSpec& s, std::size_t i, const std::string& spec) {
@@ -159,6 +160,7 @@ ParsedProtocol parse_protocol(const std::string& spec) {
     p.bind = [capacity](std::uint32_t, std::uint64_t) {
       return std::make_unique<BatchedRule>(capacity);
     };
+    p.needs_wide = true;
   } else if (s.name == "self-balancing") {
     reject_args(s, rest);
     p.name = s.name;
@@ -265,6 +267,15 @@ std::unique_ptr<StreamingAllocator> make_streaming_allocator(const std::string& 
   const ParsedProtocol parsed = parse_protocol(spec);
   reject_shards(parsed, spec, "a streaming allocator");
   return bind_allocator(parsed, n, m_hint, layout);
+}
+
+StateLayout preferred_layout(const std::string& spec, std::uint32_t n,
+                             std::uint64_t expected_balls) {
+  const ParsedProtocol parsed = parse_protocol(spec);
+  // n == 0 is rejected when the run binds its state.
+  const bool wide = parsed.needs_wide || n == 0 ||
+                    ceil_div(expected_balls, n) >= kCompactLoadCliff;
+  return wide ? StateLayout::kWide : StateLayout::kCompact;
 }
 
 std::vector<std::string> protocol_specs() {

@@ -98,6 +98,22 @@ namespace bbb::core {
     const std::string& spec, std::uint32_t n, std::uint64_t m_hint = 0,
     StateLayout layout = StateLayout::kWide);
 
+/// Expected per-bin load from which a run leaves the compact layout: near
+/// the 8-bit lane limit (BinState::kCompactLaneMax = 255) the overflow
+/// side-table traffic outweighs the smaller slab (n = 2^16 greedy[2]:
+/// compact 3.3x faster than wide at load 64, 1.3x slower at 320).
+inline constexpr std::uint64_t kCompactLoadCliff = BinState::kCompactLaneMax * 3 / 4;
+
+/// The BinState layout a run of `spec` over n bins holding about
+/// `expected_balls` balls should use: kWide for batched[k] (its LW rounds
+/// need the wide state) or when ceil(expected_balls / n) reaches
+/// kCompactLoadCliff, else kCompact. Both give identical records except
+/// batched[k]'s, so this only picks the faster path. Departures served by
+/// sample_nonempty need kWide whatever this says (the dyn engine checks).
+/// \throws std::invalid_argument as make_protocol for a malformed spec.
+[[nodiscard]] StateLayout preferred_layout(const std::string& spec, std::uint32_t n,
+                                           std::uint64_t expected_balls);
+
 /// All recognized spec shapes, for --help / --list output.
 [[nodiscard]] std::vector<std::string> protocol_specs();
 

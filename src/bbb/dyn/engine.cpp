@@ -48,16 +48,34 @@ class BallRegistry {
   std::deque<std::uint32_t> live_;
 };
 
+/// Where departures pick their victim. Eviction-based rules (cuckoo)
+/// relocate balls after placement, so a recorded ball->bin assignment goes
+/// stale: they take bin-occupancy victims whatever the workload asks for.
+DepartSelect departure_select(const Workload& workload, const core::PlacementRule& rule) {
+  return rule.stable_ball_identity() ? workload.depart_select()
+                                     : DepartSelect::kUniformNonemptyBin;
+}
+
 }  // namespace
+
+core::StateLayout DynConfig::resolved_layout() const {
+  if (layout) return *layout;
+  const auto workload = make_workload(workload_spec, n);
+  // Only the rule's ball-identity flag is read off this probe.
+  const auto probe = core::make_streaming_allocator(allocator_spec, n, m_hint,
+                                                    core::StateLayout::kCompact);
+  if (departure_select(*workload, probe->rule()) == DepartSelect::kUniformNonemptyBin) {
+    return core::StateLayout::kWide;  // sample_nonempty reads the wide index
+  }
+  return core::preferred_layout(allocator_spec, n, workload->steady_balls());
+}
 
 std::string DynConfig::describe() const {
   std::string desc =
       allocator_spec + " x " + workload_spec + " n=" + std::to_string(n) +
       " warmup=" + std::to_string(warmup) + " events=" + std::to_string(events) +
       " reps=" + std::to_string(replicates) + " seed=" + std::to_string(seed);
-  if (layout != core::StateLayout::kWide) {
-    desc += " layout=" + std::string(core::to_string(layout));
-  }
+  if (layout) desc += " layout=" + std::string(core::to_string(*layout));
   desc += obs.describe();
   return desc;
 }
@@ -71,34 +89,17 @@ DynReplicate run_dynamic_replicate(const DynConfig& config,
   if (config.events == 0) {
     throw std::invalid_argument("run_dynamic: events must be positive");
   }
+  if (!config.layout) {
+    DynConfig resolved = config;
+    resolved.layout = config.resolved_layout();
+    return run_dynamic_replicate(resolved, replicate_index);
+  }
   const auto alloc = core::make_streaming_allocator(config.allocator_spec, config.n,
-                                                    config.m_hint, config.layout);
+                                                    config.m_hint, *config.layout);
   const auto workload = make_workload(config.workload_spec, config.n);
   rng::Engine gen = rng::SeedSequence(config.seed).engine(replicate_index);
 
-  // Eviction-based rules (cuckoo) relocate balls after placement, so a
-  // recorded ball->bin assignment goes stale; fall back to bin-occupancy
-  // victims for them regardless of what the workload asks for.
-  const DepartSelect select = alloc->rule().stable_ball_identity()
-                                  ? workload->depart_select()
-                                  : DepartSelect::kUniformNonemptyBin;
-  if (select == DepartSelect::kUniformNonemptyBin &&
-      config.layout != core::StateLayout::kWide) {
-    // Fail at config time, not mid-replicate: serving a uniformly random
-    // busy bin needs the nonempty index only the wide layout maintains.
-    // Name the actual culprit — a bin-serving workload, or a rule whose
-    // unstable ball identity forces the bin-victim fallback.
-    const std::string why =
-        workload->depart_select() == DepartSelect::kUniformNonemptyBin
-            ? "workload '" + config.workload_spec +
-                  "' serves uniformly random busy bins"
-            : "allocator '" + config.allocator_spec +
-                  "' relocates balls after placement, forcing bin-occupancy "
-                  "departure victims";
-    throw std::invalid_argument(
-        "run_dynamic: " + why +
-        ", which the compact layout does not index; use layout=wide");
-  }
+  const DepartSelect select = departure_select(*workload, alloc->rule());
   const bool track_balls = select != DepartSelect::kUniformNonemptyBin;
   // Atomic weighted arrivals (weighted:chains): the whole chain lands in
   // one bin via place_one(state, w, gen) when the rule can commit it
@@ -271,18 +272,21 @@ DynSummary run_dynamic(const DynConfig& config, par::ThreadPool& pool) {
   if (config.events == 0) {
     throw std::invalid_argument("run_dynamic: events must be positive");
   }
-  // Validate both specs (and capture canonical names) before spawning work.
+  // Validate both specs (and capture canonical names) before spawning
+  // work, and resolve the layout once: every replicate, the run_start
+  // trace and the returned summary name the same one.
+  DynConfig run = config;
+  run.layout = config.resolved_layout();
   const std::string alloc_name =
-      core::make_streaming_allocator(config.allocator_spec, config.n, config.m_hint,
-                                     config.layout)
+      core::make_streaming_allocator(run.allocator_spec, run.n, run.m_hint, *run.layout)
           ->name();
-  const std::string workload_name = make_workload(config.workload_spec, config.n)->name();
+  const std::string workload_name = make_workload(run.workload_spec, run.n)->name();
 
   const bool obs_on = config.obs.counters_on();
   if (obs_on && config.obs.sink) {
     obs::JsonLine line("run_start", "dyn");
     line.begin_object("config")
-        .field("describe", config.describe())
+        .field("describe", run.describe())
         .field("allocator", alloc_name)
         .field("workload", workload_name)
         .field("n", static_cast<std::uint64_t>(config.n))
@@ -290,20 +294,20 @@ DynSummary run_dynamic(const DynConfig& config, par::ThreadPool& pool) {
         .field("events", config.events)
         .field("replicates", static_cast<std::uint64_t>(config.replicates))
         .field("seed", config.seed)
-        .field("layout", core::to_string(config.layout))
+        .field("layout", core::to_string(*run.layout))
         .end_object();
     config.obs.sink->write(std::move(line));
   }
 
   DynSummary summary;
-  summary.config = config;
+  summary.config = run;
   summary.allocator_name = alloc_name;
   summary.workload_name = workload_name;
   summary.tail.assign(static_cast<std::size_t>(config.tail_max) + 1,
                       stats::RunningStats{});
   summary.replicates = par::parallel_map<DynReplicate>(
-      pool, config.replicates, [&config](std::uint64_t r) {
-        return run_dynamic_replicate(config, static_cast<std::uint32_t>(r));
+      pool, config.replicates, [&run](std::uint64_t r) {
+        return run_dynamic_replicate(run, static_cast<std::uint32_t>(r));
       });
 
   // Fold in replicate order: summaries are independent of scheduling.

@@ -27,6 +27,7 @@
 /// workload's ball-based victim selection with uniform-nonempty-bin.
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -46,13 +47,13 @@ struct DynConfig {
   std::uint32_t n = 1024;         ///< bins
   std::uint64_t m_hint = 0;       ///< total-count hint for fixed-bound rules
                                   ///< (threshold); 0 = unknown (registry uses n)
-  /// BinState storage layout. kCompact (the giant-scale 8-bit-lane tier)
-  /// supports every workload whose departures pick *balls* (churn, bursty,
-  /// chains); workloads that serve a uniformly random busy *bin*
-  /// (supermarket) need the wide layout's nonempty index, as do rules
-  /// without stable ball identity (cuckoo) — those configs are rejected
-  /// up-front with std::invalid_argument.
-  core::StateLayout layout = core::StateLayout::kWide;
+  /// BinState storage layout; a set value pins it (perfbench does). Unset
+  /// means derived, once per run: wide when departures serve busy bins
+  /// (supermarket, or cuckoo's unstable ball identity) — sample_nonempty
+  /// needs the wide index — else core::preferred_layout at the workload's
+  /// steady_balls(). A pinned compact layout fails at the first such
+  /// departure (BinState::sample_nonempty throws std::logic_error).
+  std::optional<core::StateLayout> layout;
   std::uint64_t warmup = 32'768;  ///< burn-in events before measurement
   std::uint64_t events = 65'536;  ///< measured events
   std::uint64_t stride = 1'024;   ///< measured events between snapshots
@@ -67,7 +68,12 @@ struct DynConfig {
   /// affects placements or the randomness stream.
   obs::ObsConfig obs;
 
-  /// Human-readable one-line description for logs and table titles.
+  /// The layout a run uses: the pinned one, or the derived one.
+  /// \throws std::invalid_argument for unknown specs.
+  [[nodiscard]] core::StateLayout resolved_layout() const;
+
+  /// Human-readable one-line description for logs and table titles; names
+  /// the layout when one is set.
   [[nodiscard]] std::string describe() const;
 };
 
@@ -136,7 +142,8 @@ struct DynSummary {
   [[nodiscard]] double psi_per_bin() const;
 };
 
-/// Execute one replicate (exposed for tests and custom aggregation).
+/// Execute one replicate (exposed for tests and custom aggregation). An
+/// unset layout is resolved as run_dynamic resolves it.
 [[nodiscard]] DynReplicate run_dynamic_replicate(const DynConfig& config,
                                                  std::uint32_t replicate_index);
 

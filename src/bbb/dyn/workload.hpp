@@ -35,6 +35,7 @@
 /// Scaled-by-100 integer spec arguments follow the registry convention of
 /// skewed-adaptive[s*100].
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -82,6 +83,10 @@ class Workload {
   /// Victim-selection rule for every departure this workload emits.
   [[nodiscard]] virtual DepartSelect depart_select() const noexcept = 0;
 
+  /// Balls the workload holds in steady state (an upper estimate where
+  /// the rule matters) — what the dyn engine sizes its layout choice by.
+  [[nodiscard]] virtual std::uint64_t steady_balls() const noexcept = 0;
+
   /// True when a weight-w arrival is one atomic decision (the whole chain
   /// into one bin) rather than w independent unit placements.
   [[nodiscard]] virtual bool atomic_arrivals() const noexcept { return false; }
@@ -101,6 +106,10 @@ class SupermarketWorkload final : public Workload {
   [[nodiscard]] DepartSelect depart_select() const noexcept override {
     return DepartSelect::kUniformNonemptyBin;
   }
+  /// The one-choice M/M/1 mean n lambda / (1 - lambda); d-choice holds fewer.
+  [[nodiscard]] std::uint64_t steady_balls() const noexcept override {
+    return static_cast<std::uint64_t>(n_ * lambda_ / (1.0 - lambda_)) + 1;
+  }
   [[nodiscard]] DynEvent next(rng::Engine& gen, const WorkloadContext& ctx) override;
   [[nodiscard]] double lambda() const noexcept { return lambda_; }
 
@@ -118,6 +127,9 @@ class ChurnWorkload final : public Workload {
   ChurnWorkload(std::uint64_t population, DepartSelect select);
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] DepartSelect depart_select() const noexcept override { return select_; }
+  [[nodiscard]] std::uint64_t steady_balls() const noexcept override {
+    return population_;
+  }
   [[nodiscard]] DynEvent next(rng::Engine& gen, const WorkloadContext& ctx) override;
   [[nodiscard]] std::uint64_t population() const noexcept { return population_; }
 
@@ -141,6 +153,10 @@ class BurstyWorkload final : public Workload {
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] DepartSelect depart_select() const noexcept override {
     return DepartSelect::kUniformBall;
+  }
+  /// The M/M/inf mean of the busier phase, n max(lambda_on, lambda_off).
+  [[nodiscard]] std::uint64_t steady_balls() const noexcept override {
+    return static_cast<std::uint64_t>(n_ * std::max(lambda_on_, lambda_off_)) + 1;
   }
   [[nodiscard]] DynEvent next(rng::Engine& gen, const WorkloadContext& ctx) override;
   /// Current phase (exposed for tests).
@@ -170,6 +186,10 @@ class ChainWorkload final : public Workload {
     return DepartSelect::kUniformBall;
   }
   [[nodiscard]] bool atomic_arrivals() const noexcept override { return atomic_; }
+  /// The M/M/inf mean of the offered per-ball load, n lambda.
+  [[nodiscard]] std::uint64_t steady_balls() const noexcept override {
+    return static_cast<std::uint64_t>(n_ * lambda_) + 1;
+  }
   [[nodiscard]] DynEvent next(rng::Engine& gen, const WorkloadContext& ctx) override;
   [[nodiscard]] double mean_length() const noexcept { return mean_length_; }
 

@@ -1,6 +1,7 @@
 #include "bbb/io/argparse.hpp"
 
 #include <cstdio>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -75,8 +76,10 @@ bool ArgParser::parse(int argc, const char* const* argv) {
     try {
       std::size_t pos = 0;
       if (flag.kind == Kind::kU64) {
-        (void)std::stoull(value, &pos);
-        if (pos != value.size()) throw std::invalid_argument("trailing junk");
+        if (value.empty() || value.find_first_not_of("0123456789") != std::string::npos) {
+          throw std::invalid_argument("not an unsigned integer");
+        }
+        (void)std::stoull(value);  // out_of_range at 2^64 and above
       } else if (flag.kind == Kind::kDouble) {
         (void)std::stod(value, &pos);
         if (pos != value.size()) throw std::invalid_argument("trailing junk");
@@ -93,6 +96,15 @@ std::uint64_t ArgParser::get_u64(const std::string& key) const {
   const Flag& f = find(key);
   if (f.kind != Kind::kU64) throw std::invalid_argument("--" + key + " is not integer");
   return std::stoull(f.value);
+}
+
+std::uint32_t ArgParser::get_u32(const std::string& key) const {
+  const std::uint64_t v = get_u64(key);
+  if (v > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::invalid_argument("flag --" + key + ": " + std::to_string(v) +
+                                " does not fit in 32 bits");
+  }
+  return static_cast<std::uint32_t>(v);
 }
 
 double ArgParser::get_double(const std::string& key) const {

@@ -26,11 +26,17 @@ class ArgParser {
                 const std::string& help);
 
   /// Parse argv. Accepts --key=value and --key value forms plus --help.
+  /// Integer values are digits only: std::stoull would read "-1" as
+  /// 2^64 - 1 and accept leading whitespace or '+'.
   /// \returns false if --help was requested (help text already printed).
   /// \throws std::invalid_argument for unknown flags or malformed values.
   bool parse(int argc, const char* const* argv);
 
   [[nodiscard]] std::uint64_t get_u64(const std::string& key) const;
+  /// get_u64 for flags that feed 32-bit parameters (n, replicates, ...).
+  /// \throws std::invalid_argument naming the flag if the value exceeds
+  ///         UINT32_MAX, so it is never silently narrowed.
+  [[nodiscard]] std::uint32_t get_u32(const std::string& key) const;
   [[nodiscard]] double get_double(const std::string& key) const;
   [[nodiscard]] const std::string& get_string(const std::string& key) const;
 

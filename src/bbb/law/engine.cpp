@@ -3,12 +3,15 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
+#include "bbb/core/spec.hpp"
 #include "bbb/law/one_choice.hpp"
 #include "bbb/law/profile.hpp"
 #include "bbb/obs/trace_sink.hpp"
+#include "bbb/par/parallel_for.hpp"
 #include "bbb/rng/streams.hpp"
 #include "bbb/theory/tails.hpp"
 
@@ -31,70 +34,44 @@ struct LawSpec {
   std::string canonical;
 };
 
-/// Parse "name" or "name[a]" or "name[a,b]" with nonnegative integer args.
-/// Grammar matches core/protocols/registry.hpp so specs read the same
-/// across tiers.
-LawSpec parse_law_spec(const std::string& spec) {
-  std::string name = spec;
-  std::vector<std::uint64_t> args;
-  const std::size_t open = spec.find('[');
-  if (open != std::string::npos) {
-    if (spec.back() != ']') {
-      throw std::invalid_argument("law spec: missing ']' in '" + spec + "'");
-    }
-    name = spec.substr(0, open);
-    std::string body = spec.substr(open + 1, spec.size() - open - 2);
-    std::size_t pos = 0;
-    while (pos <= body.size()) {
-      const std::size_t comma = std::min(body.find(',', pos), body.size());
-      const std::string tok = body.substr(pos, comma - pos);
-      if (tok.empty() || tok.find_first_not_of("0123456789") != std::string::npos) {
-        throw std::invalid_argument("law spec: bad argument '" + tok + "' in '" +
-                                    spec + "'");
-      }
-      args.push_back(std::stoull(tok));
-      pos = comma + 1;
-    }
+/// Parse "one-choice", "greedy[d]" or "mixed[d,b]" on the shared spec
+/// grammar (core/spec.hpp), so d is range-checked before it narrows.
+/// greedy[d] is mixed[d,100].
+LawSpec law_spec_of(const std::string& spec) {
+  const core::ParsedSpec s = core::parse_spec(spec, "law");
+  const std::size_t arity = s.name == "greedy" ? 1 : s.name == "mixed" ? 2 : 0;
+  if (arity == 0 && s.name != "one-choice") {
+    throw std::invalid_argument("law spec: unknown protocol '" + spec +
+                                "' (law tier knows one-choice, greedy[d], mixed[d,b])");
   }
-
+  if (s.args.size() != arity) {
+    throw std::invalid_argument("law spec '" + spec + "': expected " +
+                                std::to_string(arity) + " argument(s)");
+  }
   LawSpec out;
-  if (name == "one-choice") {
-    if (!args.empty()) {
-      throw std::invalid_argument("law spec: one-choice takes no arguments");
-    }
+  if (arity == 0) {
     out.sampled = true;
-    out.d = 1;
-    out.beta = 0.0;
     out.canonical = "one-choice";
     return out;
   }
-  if (name == "greedy") {
-    if (args.size() != 1 || args[0] == 0) {
-      throw std::invalid_argument("law spec: greedy needs one argument d >= 1");
-    }
-    out.d = static_cast<std::uint32_t>(args[0]);
-    out.beta = 1.0;
-    out.sampled = out.d == 1;  // greedy[1] is one-choice: sample it exactly
-    out.canonical = out.sampled ? "one-choice" : "greedy[" + std::to_string(out.d) + "]";
-    return out;
+  out.d = core::spec_arg_u32(s, 0, spec, "law");
+  const std::uint64_t b = arity == 2 ? s.args[1] : 100;
+  if (out.d == 0 || b > 100) {
+    throw std::invalid_argument("law spec '" + spec + "': needs d >= 1, 0 <= b <= 100");
   }
-  if (name == "mixed") {
-    if (args.size() != 2 || args[0] == 0 || args[1] > 100) {
-      throw std::invalid_argument(
-          "law spec: mixed needs arguments [d,b] with d >= 1, 0 <= b <= 100");
-    }
-    out.d = static_cast<std::uint32_t>(args[0]);
-    out.beta = static_cast<double>(args[1]) / 100.0;
-    // A mixture that never takes the d-choice branch (b == 0) or cannot
-    // tell the branches apart (d == 1) is one-choice: sample it exactly.
-    out.sampled = out.d == 1 || args[1] == 0;
-    out.canonical = out.sampled ? "one-choice"
-                                : "mixed[" + std::to_string(out.d) + "," +
-                                      std::to_string(args[1]) + "]";
-    return out;
+  out.beta = static_cast<double>(b) / 100.0;
+  // A mixture that never takes the d-choice branch (b == 0) or cannot
+  // tell the branches apart (d == 1) is one-choice: sample it exactly.
+  out.sampled = out.d == 1 || b == 0;
+  const std::string d = std::to_string(out.d);
+  if (out.sampled) {
+    out.canonical = "one-choice";
+  } else if (arity == 1) {
+    out.canonical = "greedy[" + d + "]";
+  } else {
+    out.canonical = "mixed[" + d + "," + std::to_string(b) + "]";
   }
-  throw std::invalid_argument("law spec: unknown protocol '" + spec +
-                              "' (law tier knows one-choice, greedy[d], mixed[d,b])");
+  return out;
 }
 
 /// Levels worth integrating: average load plus a generous fluctuation
@@ -147,9 +124,9 @@ void fold_profile(const OccupancyProfile& profile, LawSummary& summary) {
 
 }  // namespace
 
-LawSummary run_law_experiment(const LawConfig& config) {
+LawSummary run_law_experiment(const LawConfig& config, par::ThreadPool& pool) {
   if (config.n == 0) throw std::invalid_argument("run_law_experiment: n must be > 0");
-  const LawSpec spec = parse_law_spec(config.protocol_spec);
+  const LawSpec spec = law_spec_of(config.protocol_spec);
 
   LawSummary summary;
   summary.config = config;
@@ -188,28 +165,39 @@ LawSummary run_law_experiment(const LawConfig& config) {
         .end_object();
     config.obs.sink->write(std::move(line));
   }
+  // Replicates sample on the pool; the fold below runs in replicate
+  // order, so the summary is identical for any thread count.
+  struct Draw {
+    std::optional<OccupancyProfile> profile;
+    std::uint64_t wall_ns = 0;
+  };
+  const std::vector<Draw> draws = par::parallel_map<Draw>(
+      pool, config.replicates, [&config](std::uint64_t r) {
+        const auto start = std::chrono::steady_clock::now();
+        rng::Engine gen = rng::SeedSequence(config.seed).engine(r);
+        Draw draw;
+        draw.profile = sample_one_choice_profile(config.m, config.n, gen);
+        draw.wall_ns = static_cast<std::uint64_t>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                std::chrono::steady_clock::now() - start)
+                .count());
+        return draw;
+      });
   obs::MetricsRegistry registry;
   for (std::uint32_t r = 0; r < config.replicates; ++r) {
-    const auto start = std::chrono::steady_clock::now();
-    rng::Engine gen = rng::SeedSequence(config.seed).engine(r);
-    const OccupancyProfile profile =
-        sample_one_choice_profile(config.m, config.n, gen);
+    const OccupancyProfile& profile = *draws[r].profile;
     fold_profile(profile, summary);
     if (obs_on) {
       // One sampled profile per replicate — the wall time of the
       // Poissonize-and-correct sampler is the law tier's whole cost.
-      const auto wall_ns = static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - start)
-              .count());
-      registry.histogram("law.replicate.wall_ns").record(wall_ns);
+      registry.histogram("law.replicate.wall_ns").record(draws[r].wall_ns);
       if (config.obs.sink) {
         obs::JsonLine line("replicate", "law");
         line.field("replicate", static_cast<std::uint64_t>(r))
             .begin_object("metrics")
             .field("max_load", static_cast<std::uint64_t>(profile.max_load()))
             .field("gap", static_cast<std::uint64_t>(profile.gap()))
-            .field("wall_ns", wall_ns)
+            .field("wall_ns", draws[r].wall_ns)
             .end_object();
         config.obs.sink->write(std::move(line));
       }
@@ -224,6 +212,11 @@ LawSummary run_law_experiment(const LawConfig& config) {
     }
   }
   return summary;
+}
+
+LawSummary run_law_experiment(const LawConfig& config) {
+  par::ThreadPool pool;
+  return run_law_experiment(config, pool);
 }
 
 }  // namespace bbb::law

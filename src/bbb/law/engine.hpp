@@ -23,6 +23,7 @@
 
 #include "bbb/obs/metrics.hpp"
 #include "bbb/obs/obs.hpp"
+#include "bbb/par/thread_pool.hpp"
 #include "bbb/stats/running_stats.hpp"
 
 namespace bbb::law {
@@ -86,9 +87,14 @@ struct LawSummary {
   obs::Snapshot obs;
 };
 
-/// Run a law-tier experiment.
-/// \throws std::invalid_argument for bad config (unknown spec, n == 0,
-///         replicates == 0 on a sampled spec).
+/// Run a law-tier experiment. Sampled replicates run on `pool` and fold
+/// in replicate order, so summaries are identical for any thread count.
+/// \throws std::invalid_argument for bad config (unknown or malformed
+///         spec, n == 0, replicates == 0 on a sampled spec).
+[[nodiscard]] LawSummary run_law_experiment(const LawConfig& config,
+                                            par::ThreadPool& pool);
+
+/// Convenience overload owning a transient pool (hardware concurrency).
 [[nodiscard]] LawSummary run_law_experiment(const LawConfig& config);
 
 }  // namespace bbb::law

@@ -1,16 +1,23 @@
 #include "bbb/par/thread_pool.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 namespace bbb::par {
 
 std::size_t ThreadPool::resolve_threads(std::size_t requested) noexcept {
   if (requested > 0) return requested;
   const unsigned hc = std::thread::hardware_concurrency();
-  return hc > 0 ? hc : 1;
+  return std::clamp<std::size_t>(hc, 1, kMaxThreads);
 }
 
 ThreadPool::ThreadPool(std::size_t num_threads) {
+  if (num_threads > kMaxThreads) {
+    throw std::invalid_argument("ThreadPool: " + std::to_string(num_threads) +
+                                " threads requested, at most " +
+                                std::to_string(kMaxThreads) + " supported");
+  }
   const std::size_t n = resolve_threads(num_threads);
   workers_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {

@@ -21,7 +21,14 @@ namespace bbb::par {
 /// task terminate the program (tasks are expected to capture-and-report).
 class ThreadPool {
  public:
-  /// \param num_threads 0 means hardware_concurrency (at least 1).
+  /// Most workers one pool spawns. Replicate-level parallelism gains
+  /// nothing past the core count, and each worker reserves a full stack,
+  /// so a request like 100000 would spend seconds creating threads.
+  static constexpr std::size_t kMaxThreads = 1024;
+
+  /// \param num_threads 0 means hardware_concurrency (at least 1, at most
+  ///        kMaxThreads).
+  /// \throws std::invalid_argument if num_threads > kMaxThreads.
   explicit ThreadPool(std::size_t num_threads = 0);
 
   /// Drains outstanding tasks, then joins all workers.
@@ -38,7 +45,8 @@ class ThreadPool {
 
   [[nodiscard]] std::size_t num_threads() const noexcept { return workers_.size(); }
 
-  /// Resolve a requested thread count: 0 -> hardware_concurrency, min 1.
+  /// Resolve a requested thread count: 0 -> hardware_concurrency clamped
+  /// to [1, kMaxThreads]; any other value is returned as is.
   [[nodiscard]] static std::size_t resolve_threads(std::size_t requested) noexcept;
 
  private:

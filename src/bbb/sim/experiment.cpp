@@ -1,37 +1,20 @@
 #include "bbb/sim/experiment.hpp"
 
 #include <sstream>
-#include <stdexcept>
+
+#include "bbb/core/protocols/registry.hpp"
 
 namespace bbb::sim {
 
-std::string to_string(Tier tier) {
-  switch (tier) {
-    case Tier::kExact:
-      return "exact";
-    case Tier::kLaw:
-      return "law";
-  }
-  throw std::invalid_argument("to_string: unknown Tier");
-}
-
-Tier parse_tier(const std::string& text) {
-  if (text == "exact") return Tier::kExact;
-  if (text == "law") return Tier::kLaw;
-  throw std::invalid_argument("parse_tier: expected 'exact' or 'law', got '" + text +
-                              "'");
+core::StateLayout ExperimentConfig::resolved_layout() const {
+  return layout ? *layout : core::preferred_layout(protocol_spec, n, m);
 }
 
 std::string ExperimentConfig::describe() const {
   std::ostringstream os;
   os << protocol_spec << " m=" << m << " n=" << n << " reps=" << replicates
      << " seed=" << seed;
-  if (layout != core::StateLayout::kWide) {
-    os << " layout=" << to_string(layout);
-  }
-  if (tier != Tier::kExact) {
-    os << " tier=" << to_string(tier);
-  }
+  if (layout) os << " layout=" << to_string(*layout);
   os << obs.describe();
   return os.str();
 }

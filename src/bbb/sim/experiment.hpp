@@ -4,6 +4,7 @@
 /// shared by the Monte-Carlo runner, the sweep helpers, and every bench.
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "bbb/core/bin_state.hpp"
@@ -13,23 +14,6 @@
 
 namespace bbb::sim {
 
-/// Which execution tier evaluates a replicate.
-enum class Tier : std::uint8_t {
-  /// Simulate every ball through the streaming core (wide or compact
-  /// layout per ExperimentConfig::layout) — the exact tiers of PRs 1-5.
-  kExact,
-  /// Sample the occupancy law directly (law::sample_one_choice_profile):
-  /// exact in distribution, O(levels + sqrt(m)) per replicate. Only the
-  /// one-choice spec has a sampled law; other specs throw.
-  kLaw,
-};
-
-/// Round-trips with parse_tier; "exact" / "law".
-[[nodiscard]] std::string to_string(Tier tier);
-
-/// \throws std::invalid_argument for anything but "exact" / "law".
-[[nodiscard]] Tier parse_tier(const std::string& text);
-
 /// One experiment: a protocol at a fixed (m, n), repeated `replicates`
 /// times with independent derived seeds.
 struct ExperimentConfig {
@@ -38,21 +22,16 @@ struct ExperimentConfig {
   std::uint32_t n = 1;                     ///< bins
   std::uint32_t replicates = 20;           ///< independent runs
   std::uint64_t seed = 42;                 ///< master seed
-  /// BinState storage layout — a plain parameter of the one replicate
-  /// path (make_streaming_allocator + run_batch + incremental metrics).
+  /// BinState storage layout. Unset (the default) means derived:
+  /// core::preferred_layout(protocol_spec, n, m) picks compact unless the
+  /// rule is batched[k] or ceil(m/n) reaches the side-table cliff. A set
+  /// value pins the layout (perfbench and the layout lockstep tests do).
   /// Records are identical in both layouts except for batched[capacity],
   /// whose batch hook runs the LW rounds only on kWide (rounds >= 1) and
-  /// its streaming capacity-bounded form on kCompact. kCompact stores
-  /// ~1 byte per bin, so n = 2^30 fits in ~1 GiB, and runs the SIMD batch
-  /// kernel for one-choice / greedy[2] / left[2].
-  core::StateLayout layout = core::StateLayout::kWide;
-  /// Execution tier. Tier::kLaw replaces the per-ball simulation with the
-  /// law tier's exact profile sampler (same SeedSequence-derived engines,
-  /// different consumption — records pin to their own golden values).
-  /// Probe/reallocation/round counters are not defined by a sampled
-  /// profile; the law tier reports probes = m (one probe per ball, the
-  /// one-choice cost identity) and zeros elsewhere.
-  Tier tier = Tier::kExact;
+  /// its streaming capacity-bounded form on kCompact. run_experiment
+  /// resolves the layout once, so RunSummary::config names the one that
+  /// ran.
+  std::optional<core::StateLayout> layout;
   /// Keep the raw per-replicate rows in RunSummary::records. Summary
   /// statistics are always folded; switch this off in large sweeps so a
   /// grid of thousands of configs does not retain every raw row in memory.
@@ -62,7 +41,11 @@ struct ExperimentConfig {
   /// RunSummary::obs stays empty. Never affects placements (see obs.hpp).
   obs::ObsConfig obs;
 
-  /// Human-readable "spec m=... n=... reps=..." line for logs.
+  /// The layout a run uses: the pinned one, or the derived one.
+  [[nodiscard]] core::StateLayout resolved_layout() const;
+
+  /// Human-readable "spec m=... n=... reps=..." line for logs; names the
+  /// layout when one is set.
   [[nodiscard]] std::string describe() const;
 };
 

@@ -5,8 +5,6 @@
 
 #include "bbb/core/protocols/registry.hpp"
 #include "bbb/core/spec.hpp"
-#include "bbb/law/one_choice.hpp"
-#include "bbb/law/profile.hpp"
 #include "bbb/obs/trace_sink.hpp"
 #include "bbb/par/parallel_for.hpp"
 #include "bbb/rng/streams.hpp"
@@ -30,7 +28,7 @@ double RunSummary::probes_per_ball() const {
 
 namespace {
 
-/// The exact-tier replicate path, for either layout: one streaming
+/// The replicate path, for either (resolved) layout: one streaming
 /// allocator, one run_batch call (the rule's batch hook: place_batch +
 /// finalize, or batched[k]'s LW rounds on a wide state), then the
 /// incremental metrics read off the state — no O(n) rescan, so compact
@@ -39,7 +37,7 @@ ReplicateRecord run_streaming_replicate(const ExperimentConfig& config,
                                         std::uint32_t replicate_index) {
   const auto start = std::chrono::steady_clock::now();
   const auto alloc = core::make_streaming_allocator(config.protocol_spec, config.n,
-                                                    config.m, config.layout);
+                                                    config.m, *config.layout);
   rng::Engine gen = rng::SeedSequence(config.seed).engine(replicate_index);
   alloc->set_engine_exclusive(true);
   if (config.obs.full_on() && config.obs.sink && config.obs.heartbeat_seconds > 0) {
@@ -93,7 +91,7 @@ ReplicateRecord run_sharded_replicate(const ExperimentConfig& config,
   const auto start = std::chrono::steady_clock::now();
   shard::ShardOptions opt;
   opt.shards = shards;
-  opt.layout = config.layout;
+  opt.layout = *config.layout;
   opt.m_hint = config.m;
   shard::ShardedAllocator engine(inner_spec, config.n, opt);
   rng::Engine gen = rng::SeedSequence(config.seed).engine(replicate_index);
@@ -127,49 +125,14 @@ ReplicateRecord run_sharded_replicate(const ExperimentConfig& config,
   return rec;
 }
 
-/// The law-tier replicate path: draw the occupancy profile's law directly
-/// instead of simulating m placements. Only one-choice has a sampled law;
-/// the record it fills is distribution-equal (NOT bit-equal) to the exact
-/// tiers at the same seed — the cross-validation suite in tests/law/ is
-/// what certifies the agreement. Probes are reported as m (one-choice
-/// probes once per ball); reallocations and rounds are identically zero.
-ReplicateRecord run_law_replicate(const ExperimentConfig& config,
-                                  std::uint32_t replicate_index) {
-  const std::string canonical = core::make_protocol(config.protocol_spec)->name();
-  if (canonical != "one-choice") {
-    throw std::invalid_argument(
-        "run_replicate: tier=law supports only the one-choice spec, got '" +
-        canonical + "' (use greedy/mixed through law::run_law_experiment's "
-        "fluid curves instead)");
-  }
-  const auto start = std::chrono::steady_clock::now();
-  rng::Engine gen = rng::SeedSequence(config.seed).engine(replicate_index);
-  const law::OccupancyProfile profile =
-      law::sample_one_choice_profile(config.m, config.n, gen);
-
-  ReplicateRecord rec;
-  rec.probes = static_cast<double>(config.m);
-  rec.max_load = profile.max_load();
-  rec.min_load = profile.min_load();
-  rec.gap = profile.gap();
-  rec.psi = profile.psi();
-  rec.log_phi = profile.log_phi();
-  if (config.obs.counters_on()) {
-    // A sampled profile issues no real probes; report the one-choice cost
-    // identity (one probe per ball) so cross-tier accounting lines up.
-    rec.counters.probes = config.m;
-    rec.counters.balls_placed = config.m;
-    rec.wall_ns = elapsed_ns(start);
-  }
-  return rec;
-}
-
 }  // namespace
 
 ReplicateRecord run_replicate(const ExperimentConfig& config,
                               std::uint32_t replicate_index) {
-  if (config.tier == Tier::kLaw) {
-    return run_law_replicate(config, replicate_index);
+  if (!config.layout) {
+    ExperimentConfig resolved = config;
+    resolved.layout = config.resolved_layout();
+    return run_replicate(resolved, replicate_index);
   }
   if (const core::SpecPrefix prefix =
           core::split_spec_prefix(config.protocol_spec, "protocol");
@@ -186,34 +149,33 @@ RunSummary run_experiment(const ExperimentConfig& config, par::ThreadPool& pool)
   }
   // Validate the spec (and capture the canonical name) before spawning work.
   const std::string canonical = core::make_protocol(config.protocol_spec)->name();
-  if (config.tier == Tier::kLaw && canonical != "one-choice") {
-    throw std::invalid_argument(
-        "run_experiment: tier=law supports only the one-choice spec");
-  }
+  // Resolve the layout once: every replicate, the run_start trace and the
+  // returned summary name the same one.
+  ExperimentConfig run = config;
+  run.layout = config.resolved_layout();
 
   const bool obs_on = config.obs.counters_on();
   if (obs_on && config.obs.sink) {
     obs::JsonLine line("run_start", "sim");
     line.begin_object("config")
-        .field("describe", config.describe())
+        .field("describe", run.describe())
         .field("protocol", canonical)
         .field("m", config.m)
         .field("n", static_cast<std::uint64_t>(config.n))
         .field("replicates", static_cast<std::uint64_t>(config.replicates))
         .field("seed", config.seed)
-        .field("layout", core::to_string(config.layout))
-        .field("tier", to_string(config.tier))
+        .field("layout", core::to_string(*run.layout))
         .end_object();
     config.obs.sink->write(std::move(line));
   }
 
   RunSummary summary;
-  summary.config = config;
+  summary.config = run;
   summary.protocol_name = canonical;
   summary.records = par::parallel_map<ReplicateRecord>(
       pool, config.replicates,
-      [&config](std::uint64_t r) {
-        return run_replicate(config, static_cast<std::uint32_t>(r));
+      [&run](std::uint64_t r) {
+        return run_replicate(run, static_cast<std::uint32_t>(r));
       });
 
   // Fold in replicate order: summaries are independent of scheduling.

@@ -42,7 +42,8 @@ struct RunSummary {
   [[nodiscard]] double probes_per_ball() const;
 };
 
-/// Execute one replicate (exposed for tests and custom aggregation).
+/// Execute one replicate (exposed for tests and custom aggregation). An
+/// unset layout is resolved as run_experiment resolves it.
 [[nodiscard]] ReplicateRecord run_replicate(const ExperimentConfig& config,
                                             std::uint32_t replicate_index);
 

@@ -57,12 +57,11 @@ TEST(BinStateLayout, ReportsLayout) {
 }
 
 TEST(BinStateLayout, ParseAndPrintRoundTrip) {
-  EXPECT_EQ(parse_state_layout("wide"), StateLayout::kWide);
-  EXPECT_EQ(parse_state_layout("compact"), StateLayout::kCompact);
+  // Layouts are derived per run (core::preferred_layout), never parsed
+  // from user input; only the printed names remain, for describe() lines
+  // and trace records.
   EXPECT_EQ(to_string(StateLayout::kWide), "wide");
   EXPECT_EQ(to_string(StateLayout::kCompact), "compact");
-  EXPECT_THROW((void)parse_state_layout("narrow"), std::invalid_argument);
-  EXPECT_THROW((void)parse_state_layout(""), std::invalid_argument);
 }
 
 TEST(BinStateLayout, CompactRejectsWideOnlyApi) {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 namespace bbb::dyn {
 namespace {
@@ -233,6 +234,83 @@ TEST(Engine, HeterogeneousAllocatorRunsUnderChurn) {
   const DynSummary s = run_dynamic(cfg);
   EXPECT_EQ(s.allocator_name, "capacities=1,2,4,8:greedy[2]");
   EXPECT_NEAR(s.balls.mean(), 511.5, 1.0);
+}
+
+DynConfig churn_config(const std::string& allocator, std::uint64_t per_bin) {
+  DynConfig cfg;
+  cfg.allocator_spec = allocator;
+  cfg.n = 64;
+  cfg.workload_spec = "churn[" + std::to_string(per_bin * cfg.n) + "]";
+  cfg.warmup = per_bin * cfg.n;
+  cfg.events = 2'048;
+  cfg.stride = 512;
+  cfg.replicates = 2;
+  return cfg;
+}
+
+TEST(Engine, DefaultLayoutIsDerived) {
+  using core::StateLayout;
+  // Balls leave from the registry: compact, up to the side-table cliff.
+  EXPECT_EQ(churn_config("greedy[2]", 4).resolved_layout(), StateLayout::kCompact);
+  EXPECT_EQ(churn_config("adaptive-net", 4).resolved_layout(), StateLayout::kCompact);
+  EXPECT_EQ(churn_config("greedy[2]", 256).resolved_layout(), StateLayout::kWide);
+  // Departures that serve a uniformly random busy bin need the wide
+  // nonempty index: the supermarket workload, and cuckoo, whose relocated
+  // balls force bin-occupancy victims under any workload.
+  DynConfig market = small_config();
+  market.workload_spec = "supermarket[90]";
+  EXPECT_EQ(market.resolved_layout(), StateLayout::kWide);
+  EXPECT_EQ(churn_config("cuckoo[2,4]", 1).resolved_layout(), StateLayout::kWide);
+  // batched[k] follows the registry's preference.
+  EXPECT_EQ(churn_config("batched[8]", 1).resolved_layout(), StateLayout::kWide);
+  // A pinned layout wins.
+  DynConfig pinned = churn_config("greedy[2]", 4);
+  pinned.layout = StateLayout::kWide;
+  EXPECT_EQ(pinned.resolved_layout(), StateLayout::kWide);
+}
+
+TEST(Engine, DerivedRunEqualsPinnedRun) {
+  struct Case {
+    DynConfig cfg;
+    core::StateLayout expect;
+  };
+  DynConfig market = small_config();
+  market.replicates = 2;
+  const Case cases[] = {
+      {churn_config("greedy[2]", 4), core::StateLayout::kCompact},
+      {churn_config("greedy[2]", 256), core::StateLayout::kWide},
+      {churn_config("cuckoo[2,4]", 1), core::StateLayout::kWide},
+      {market, core::StateLayout::kWide},
+  };
+  for (const Case& c : cases) {
+    const DynSummary derived = run_dynamic(c.cfg);
+    ASSERT_TRUE(derived.config.layout.has_value()) << c.cfg.describe();
+    EXPECT_EQ(*derived.config.layout, c.expect) << c.cfg.describe();
+    EXPECT_NE(derived.config.describe().find("layout="), std::string::npos);
+    DynConfig pinned_cfg = c.cfg;
+    pinned_cfg.layout = c.expect;
+    const DynSummary pinned = run_dynamic(pinned_cfg);
+    ASSERT_EQ(derived.replicates.size(), pinned.replicates.size());
+    for (std::size_t r = 0; r < derived.replicates.size(); ++r) {
+      const DynReplicate& a = derived.replicates[r];
+      const DynReplicate& b = pinned.replicates[r];
+      EXPECT_EQ(a.mean_balls, b.mean_balls) << pinned_cfg.describe();
+      EXPECT_EQ(a.mean_psi, b.mean_psi) << pinned_cfg.describe();
+      EXPECT_EQ(a.mean_gap, b.mean_gap) << pinned_cfg.describe();
+      EXPECT_EQ(a.peak_max, b.peak_max) << pinned_cfg.describe();
+      EXPECT_EQ(a.probes_per_ball, b.probes_per_ball) << pinned_cfg.describe();
+      EXPECT_EQ(a.tail, b.tail) << pinned_cfg.describe();
+    }
+    // run_dynamic_replicate resolves an unset layout the same way.
+    EXPECT_EQ(run_dynamic_replicate(c.cfg, 0).mean_psi, pinned.replicates[0].mean_psi);
+  }
+}
+
+TEST(Engine, PinnedCompactWithBusyBinDeparturesThrows) {
+  // The compact state keeps no nonempty-bin index to serve busy bins from.
+  DynConfig cfg = small_config();
+  cfg.layout = core::StateLayout::kCompact;
+  EXPECT_THROW((void)run_dynamic(cfg), std::logic_error);
 }
 
 TEST(Engine, InvalidConfigsThrow) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 namespace bbb::io {
 namespace {
 
@@ -73,6 +76,47 @@ TEST(ArgParser, MalformedValuesThrow) {
     const char* argv[] = {"prog", "--rate=..5"};
     EXPECT_THROW((void)p.parse(2, argv), std::invalid_argument);
   }
+}
+
+TEST(ArgParser, IntegerFlagsRejectSignsAndWhitespace) {
+  // std::stoull reads "-1" as 2^64 - 1 (bbb_sim --n=-1 then died with
+  // bad_alloc) and skips leading whitespace; integer flags are digits only.
+  for (const char* bad :
+       {"--n=-1", "--n=+5", "--n= 7", "--n=", "--n=18446744073709551616"}) {
+    ArgParser p = sample_parser();
+    const char* argv[] = {"prog", bad};
+    EXPECT_THROW((void)p.parse(2, argv), std::invalid_argument) << bad;
+  }
+  ArgParser p = sample_parser();
+  const char* argv[] = {"prog", "--n=18446744073709551615"};
+  EXPECT_TRUE(p.parse(2, argv));
+  EXPECT_EQ(p.get_u64("n"), 18446744073709551615ULL);
+}
+
+TEST(ArgParser, GetU32RangeChecksBeforeNarrowing) {
+  {
+    ArgParser p = sample_parser();
+    const char* argv[] = {"prog", "--n=4294967295"};
+    EXPECT_TRUE(p.parse(2, argv));
+    EXPECT_EQ(p.get_u32("n"), 4294967295U);
+  }
+  // bbb_sim --n=4294967296 used to narrow to 0 ("n must be positive") and
+  // --reps=4294967297 to 1 replicate; now the error names the flag.
+  for (const char* big : {"--n=4294967296", "--n=4294967297"}) {
+    ArgParser p = sample_parser();
+    const char* argv[] = {"prog", big};
+    EXPECT_TRUE(p.parse(2, argv));
+    try {
+      (void)p.get_u32("n");
+      ADD_FAILURE() << big << " narrowed silently";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("--n"), std::string::npos) << e.what();
+    }
+  }
+  ArgParser p = sample_parser();
+  const char* argv[] = {"prog"};
+  EXPECT_TRUE(p.parse(1, argv));
+  EXPECT_THROW((void)p.get_u32("format"), std::invalid_argument);
 }
 
 TEST(ArgParser, MissingValueThrows) {

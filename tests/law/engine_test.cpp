@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <numeric>
 
-#include "bbb/sim/runner.hpp"
 
 namespace bbb::law {
 namespace {
@@ -48,7 +47,9 @@ TEST(LawSpecParsing, RejectsMalformedSpecs) {
   cfg.m = cfg.n = 16;
   for (const char* bad :
        {"greedy", "greedy[0]", "greedy[2", "greedy[x]", "one-choice[2]",
-        "mixed[2]", "mixed[0,50]", "mixed[2,101]", "adaptive", "left[2]", ""}) {
+        "mixed[2]", "mixed[0,50]", "mixed[2,101]", "adaptive", "left[2]", "",
+        // d must fit 32 bits: these used to narrow to greedy[2] / mixed[2,50].
+        "greedy[4294967298]", "mixed[4294967298,50]", "greedy[2,]", "greedy[-1]"}) {
     cfg.protocol_spec = bad;
     EXPECT_THROW(run_law_experiment(cfg), std::invalid_argument) << bad;
   }
@@ -140,58 +141,34 @@ TEST(LawEngine, FluidMinLoadRisesWithDensity) {
   EXPECT_GT(s.fluid_max_load, 16u);
 }
 
-// --------------------------------------------------------- sim tier dispatch
+// ------------------------------------------------------------- parallel fold
 
-TEST(SimTier, ParseAndDescribeRoundTrip) {
-  EXPECT_EQ(sim::parse_tier("exact"), sim::Tier::kExact);
-  EXPECT_EQ(sim::parse_tier("law"), sim::Tier::kLaw);
-  EXPECT_THROW((void)sim::parse_tier("LAW"), std::invalid_argument);
-  EXPECT_EQ(sim::to_string(sim::Tier::kLaw), "law");
-
-  sim::ExperimentConfig cfg;
-  cfg.tier = sim::Tier::kLaw;
-  EXPECT_NE(cfg.describe().find("tier=law"), std::string::npos);
-  cfg.tier = sim::Tier::kExact;
-  EXPECT_EQ(cfg.describe().find("tier="), std::string::npos);
-}
-
-TEST(SimTier, LawReplicateMatchesGoldenPin) {
-  sim::ExperimentConfig cfg;
-  cfg.protocol_spec = "one-choice";
-  cfg.m = 4096;
-  cfg.n = 4096;
-  cfg.seed = 42;
-  cfg.tier = sim::Tier::kLaw;
-  const sim::ReplicateRecord rec = sim::run_replicate(cfg, 0);
-  EXPECT_DOUBLE_EQ(rec.max_load, 7.0);  // the seed-42 golden pin
-  EXPECT_DOUBLE_EQ(rec.min_load, 0.0);
-  EXPECT_DOUBLE_EQ(rec.probes, 4096.0);  // one-choice probes once per ball
-  EXPECT_DOUBLE_EQ(rec.reallocations, 0.0);
-  EXPECT_TRUE(rec.completed);
-}
-
-TEST(SimTier, LawTierRunsThroughRunExperiment) {
-  sim::ExperimentConfig cfg;
-  cfg.protocol_spec = "one-choice";
-  cfg.m = 1 << 12;
+TEST(LawEngine, SummaryIsIdenticalForAnyThreadCount) {
+  // Replicates sample concurrently (the TSan build runs this with real
+  // threads — it caught lgamma's signgam race); the fold runs in
+  // replicate order, so every statistic, record and level count is
+  // bit-identical on 1 and 4 workers.
+  LawConfig cfg;
+  cfg.m = 1 << 14;
   cfg.n = 1 << 12;
-  cfg.replicates = 4;
-  cfg.tier = sim::Tier::kLaw;
-  const sim::RunSummary s = sim::run_experiment(cfg);
-  EXPECT_EQ(s.protocol_name, "one-choice");
-  EXPECT_EQ(s.records.size(), 4u);
-  EXPECT_GT(s.max_load.mean(), 4.0);
-  EXPECT_LT(s.max_load.mean(), 12.0);
-  EXPECT_EQ(s.failures, 0u);
-}
-
-TEST(SimTier, LawTierRejectsNonOneChoiceSpecs) {
-  sim::ExperimentConfig cfg;
-  cfg.protocol_spec = "greedy[2]";
-  cfg.m = cfg.n = 256;
-  cfg.tier = sim::Tier::kLaw;
-  EXPECT_THROW((void)sim::run_experiment(cfg), std::invalid_argument);
-  EXPECT_THROW((void)sim::run_replicate(cfg, 0), std::invalid_argument);
+  cfg.replicates = 12;
+  cfg.seed = 7;
+  par::ThreadPool one(1);
+  par::ThreadPool four(4);
+  const LawSummary a = run_law_experiment(cfg, one);
+  const LawSummary b = run_law_experiment(cfg, four);
+  EXPECT_EQ(a.level_counts, b.level_counts);
+  ASSERT_EQ(a.records.size(), b.records.size());
+  for (std::size_t r = 0; r < a.records.size(); ++r) {
+    EXPECT_EQ(a.records[r].max_load, b.records[r].max_load) << r;
+    EXPECT_EQ(a.records[r].min_load, b.records[r].min_load) << r;
+    EXPECT_EQ(a.records[r].psi, b.records[r].psi) << r;
+    EXPECT_EQ(a.records[r].log_phi, b.records[r].log_phi) << r;
+  }
+  EXPECT_EQ(a.max_load.mean(), b.max_load.mean());
+  EXPECT_EQ(a.gap.stddev(), b.gap.stddev());
+  EXPECT_EQ(a.psi.mean(), b.psi.mean());
+  EXPECT_EQ(a.log_phi.mean(), b.log_phi.mean());
 }
 
 }  // namespace

@@ -16,6 +16,14 @@ TEST(ThreadPool, ResolveThreads) {
   EXPECT_GE(ThreadPool::resolve_threads(0), 1u);
 }
 
+TEST(ThreadPool, RejectsWorkerCountsAboveTheCap) {
+  // --threads=100000 used to spend seconds spawning threads before any
+  // work ran; the pool now refuses up front.
+  EXPECT_THROW(ThreadPool(ThreadPool::kMaxThreads + 1), std::invalid_argument);
+  EXPECT_THROW(ThreadPool(100'000), std::invalid_argument);
+  EXPECT_LE(ThreadPool::resolve_threads(0), ThreadPool::kMaxThreads);
+}
+
 TEST(ThreadPool, ExecutesAllTasks) {
   ThreadPool pool(3);
   std::atomic<int> counter{0};

@@ -153,6 +153,102 @@ TEST(Runner, LayoutIsAPlainParameter) {
   }
 }
 
+ExperimentConfig derived_config(const std::string& spec, std::uint64_t m_per_bin) {
+  ExperimentConfig cfg;
+  cfg.protocol_spec = spec;
+  cfg.n = 256;
+  cfg.m = m_per_bin * cfg.n;
+  cfg.replicates = 2;
+  cfg.seed = 42;
+  return cfg;
+}
+
+TEST(Runner, DefaultLayoutIsDerived) {
+  using core::StateLayout;
+  // The paper's protocols and the two-choice baseline at m = 8n run on
+  // the ~1 byte/bin compact state.
+  for (const char* spec : {"greedy[2]", "adaptive", "threshold", "one-choice"}) {
+    const ExperimentConfig cfg = derived_config(spec, 8);
+    EXPECT_FALSE(cfg.layout.has_value()) << spec;
+    EXPECT_EQ(cfg.resolved_layout(), StateLayout::kCompact) << spec;
+  }
+  // batched[k]'s LW rounds need the wide state.
+  EXPECT_EQ(derived_config("batched[2]", 1).resolved_layout(), StateLayout::kWide);
+  // The side-table cliff: ceil(m/n) = cliff - 1 stays compact, the cliff
+  // and beyond go wide.
+  const std::uint64_t cliff = core::kCompactLoadCliff;
+  EXPECT_EQ(cliff, 191u);
+  EXPECT_EQ(derived_config("greedy[2]", cliff - 1).resolved_layout(),
+            StateLayout::kCompact);
+  EXPECT_EQ(derived_config("greedy[2]", cliff).resolved_layout(), StateLayout::kWide);
+  EXPECT_EQ(derived_config("adaptive", 2 * cliff).resolved_layout(), StateLayout::kWide);
+  ExperimentConfig ragged = derived_config("greedy[2]", cliff - 1);
+  ragged.m += 1;  // ceil(m/n) = cliff
+  EXPECT_EQ(ragged.resolved_layout(), StateLayout::kWide);
+  // A pinned layout wins.
+  ExperimentConfig pinned = derived_config("greedy[2]", 8);
+  pinned.layout = StateLayout::kWide;
+  EXPECT_EQ(pinned.resolved_layout(), StateLayout::kWide);
+}
+
+TEST(Runner, DerivedRunEqualsPinnedRun) {
+  // Every registry family, at a compact shape and at a shape past the
+  // cliff: the derived run is the run with that layout pinned, record for
+  // record, and the summary names the layout that ran.
+  const auto& concrete = test::concrete_protocol_specs();
+  for (const std::string& tmpl : core::protocol_specs()) {
+    ASSERT_EQ(concrete.count(tmpl), 1u) << "registry family '" << tmpl << "' has no row";
+    for (const std::uint64_t per_bin : {std::uint64_t{8}, core::kCompactLoadCliff}) {
+      ExperimentConfig cfg = derived_config(concrete.at(tmpl), per_bin);
+      if (tmpl == "batched[capacity]") cfg.m = cfg.n;  // batched[64] holds <= 64n
+      const core::StateLayout layout = cfg.resolved_layout();
+      const RunSummary derived = run_experiment(cfg);
+      ASSERT_TRUE(derived.config.layout.has_value()) << cfg.protocol_spec;
+      EXPECT_EQ(*derived.config.layout, layout) << cfg.protocol_spec;
+      const std::string name(core::to_string(layout));
+      EXPECT_NE(derived.config.describe().find("layout=" + name), std::string::npos);
+      cfg.layout = layout;
+      const RunSummary pinned = run_experiment(cfg);
+      ASSERT_EQ(derived.records.size(), pinned.records.size());
+      for (std::size_t r = 0; r < derived.records.size(); ++r) {
+        const ReplicateRecord& a = derived.records[r];
+        const ReplicateRecord& b = pinned.records[r];
+        const std::string& spec = cfg.protocol_spec;
+        EXPECT_EQ(a.probes, b.probes) << spec;
+        EXPECT_EQ(a.max_load, b.max_load) << spec;
+        EXPECT_EQ(a.min_load, b.min_load) << spec;
+        EXPECT_EQ(a.psi, b.psi) << spec;
+        EXPECT_EQ(a.log_phi, b.log_phi) << spec;
+        EXPECT_EQ(a.reallocations, b.reallocations) << spec;
+        EXPECT_EQ(a.rounds, b.rounds) << spec;
+        EXPECT_EQ(a.completed, b.completed) << spec;
+      }
+      // run_replicate resolves an unset layout the same way.
+      cfg.layout.reset();
+      EXPECT_EQ(run_replicate(cfg, 1).psi, pinned.records[1].psi) << cfg.protocol_spec;
+    }
+  }
+}
+
+TEST(Runner, RunStartTraceNamesTheResolvedLayout) {
+  const std::string path = ::testing::TempDir() + "runner_layout.jsonl";
+  ExperimentConfig cfg = derived_config("greedy[2]", 8);
+  cfg.obs.level = obs::ObsLevel::kCounters;
+  cfg.obs.sink = obs::TraceSink::open(path);
+  (void)run_experiment(cfg);
+  cfg.obs.sink.reset();  // flush and close
+  std::FILE* f = std::fopen(path.c_str(), "r");
+  ASSERT_NE(f, nullptr);
+  char line[4096] = {};
+  ASSERT_NE(std::fgets(line, sizeof line, f), nullptr);
+  std::fclose(f);
+  const std::string run_start(line);
+  EXPECT_NE(run_start.find("\"run_start\""), std::string::npos) << run_start;
+  EXPECT_NE(run_start.find("\"layout\":\"compact\""), std::string::npos) << run_start;
+  EXPECT_NE(run_start.find("layout=compact"), std::string::npos) << run_start;
+  std::remove(path.c_str());
+}
+
 TEST(Runner, HeartbeatsLeaveRecordsUnchanged) {
   // Heartbeats observe run_batch between chunks of kBatchProgressStride
   // balls; the chunked placements equal the one-call batch in either

@@ -194,8 +194,11 @@ Case bench_law_profile(std::uint64_t n, std::uint32_t reps, std::uint64_t seed) 
   cfg.replicates = reps;
   cfg.seed = seed;
   cfg.keep_records = false;
+  // One worker, as the case has always measured: the trajectory compares
+  // sampler speed, not the machine's core count.
+  bbb::par::ThreadPool pool(1);
   const double t0 = now_seconds();
-  const bbb::law::LawSummary s = bbb::law::run_law_experiment(cfg);
+  const bbb::law::LawSummary s = bbb::law::run_law_experiment(cfg, pool);
   const double t1 = now_seconds();
   c = finish(std::move(c), t0, t1, cfg.m * reps);
   c.check = s.max_load.mean();
@@ -243,6 +246,7 @@ Case bench_dyn_churn(const std::string& alloc_spec, std::uint32_t n,
   cfg.allocator_spec = alloc_spec;
   cfg.workload_spec = "churn[" + std::to_string(4 * n) + "]";
   cfg.n = n;
+  cfg.layout = bbb::core::StateLayout::kWide;  // the case's recorded layout
   cfg.warmup = events / 4;
   cfg.events = events;
   cfg.stride = 0;  // no snapshots: measure the engine, not the recorder

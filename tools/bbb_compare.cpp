@@ -50,8 +50,8 @@ int main(int argc, char** argv) {
 
     bbb::sim::ExperimentConfig cfg;
     cfg.m = args.get_u64("m");
-    cfg.n = static_cast<std::uint32_t>(args.get_u64("n"));
-    cfg.replicates = static_cast<std::uint32_t>(args.get_u64("reps"));
+    cfg.n = args.get_u32("n");
+    cfg.replicates = args.get_u32("reps");
     cfg.seed = args.get_u64("seed");
     cfg.obs = bbb::obs::parse_obs_flags(args);
     const auto format = bbb::io::parse_format(args.get_string("format"));

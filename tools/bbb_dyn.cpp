@@ -37,9 +37,6 @@ int main(int argc, char** argv) {
   args.add_flag("reps", std::uint64_t{8}, "replicates");
   args.add_flag("seed", std::uint64_t{42}, "master seed");
   args.add_flag("threads", std::uint64_t{0}, "worker threads (0 = hardware)");
-  args.add_flag("layout", std::string("wide"),
-                "BinState storage: wide|compact (compact rejects workloads "
-                "that serve uniformly random busy bins)");
   args.add_flag("format", std::string("ascii"), "ascii|markdown|csv");
   args.add_flag("list", std::uint64_t{0},
                 "1 = print allocator and workload spec strings and exit");
@@ -64,15 +61,14 @@ int main(int argc, char** argv) {
     bbb::dyn::DynConfig cfg;
     cfg.allocator_spec = args.get_string("allocator");
     cfg.workload_spec = args.get_string("workload");
-    cfg.n = static_cast<std::uint32_t>(args.get_u64("n"));
+    cfg.n = args.get_u32("n");
     cfg.m_hint = args.get_u64("mhint");
     cfg.warmup = args.get_u64("warmup");
     cfg.events = args.get_u64("events");
     cfg.stride = args.get_u64("stride");
-    cfg.tail_max = static_cast<std::uint32_t>(args.get_u64("tail"));
-    cfg.replicates = static_cast<std::uint32_t>(args.get_u64("reps"));
+    cfg.tail_max = args.get_u32("tail");
+    cfg.replicates = args.get_u32("reps");
     cfg.seed = args.get_u64("seed");
-    cfg.layout = bbb::core::parse_state_layout(args.get_string("layout"));
     cfg.obs = bbb::obs::parse_obs_flags(args);
     const auto format = bbb::io::parse_format(args.get_string("format"));
 
@@ -80,7 +76,7 @@ int main(int argc, char** argv) {
     const bbb::dyn::DynSummary s = bbb::dyn::run_dynamic(cfg, pool);
 
     bbb::io::Table table({"metric", "mean", "stddev", "min", "max", "ci95"});
-    table.set_title(cfg.describe());
+    table.set_title(s.config.describe());  // names the resolved layout
     const auto add = [&table](const std::string& name,
                               const bbb::stats::RunningStats& st, int prec) {
       table.begin_row();

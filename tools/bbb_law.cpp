@@ -13,6 +13,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -60,11 +61,18 @@ int main(int argc, char** argv) {
 
     bbb::law::LawConfig cfg;
     cfg.protocol_spec = args.get_string("protocol");
-    cfg.m = args.get_u64("m") != 0 ? args.get_u64("m")
-                                   : std::uint64_t{1} << args.get_u64("log2m");
-    cfg.n = args.get_u64("n") != 0 ? args.get_u64("n")
-                                   : std::uint64_t{1} << args.get_u64("log2n");
-    cfg.replicates = static_cast<std::uint32_t>(args.get_u64("reps"));
+    // 2^log2 must fit in 64 bits (a shift by 64 or more is undefined).
+    const auto pow2 = [&args](const std::string& key) {
+      const std::uint64_t e = args.get_u64(key);
+      if (e > 63) {
+        throw std::invalid_argument("flag --" + key + ": " + std::to_string(e) +
+                                    " exceeds 63");
+      }
+      return std::uint64_t{1} << e;
+    };
+    cfg.m = args.get_u64("m") != 0 ? args.get_u64("m") : pow2("log2m");
+    cfg.n = args.get_u64("n") != 0 ? args.get_u64("n") : pow2("log2n");
+    cfg.replicates = args.get_u32("reps");
     cfg.seed = args.get_u64("seed");
     cfg.obs = bbb::obs::parse_obs_flags(args);
     const auto format = bbb::io::parse_format(args.get_string("format"));
@@ -124,7 +132,7 @@ int main(int argc, char** argv) {
       std::fputs(curve.render(format).c_str(), stdout);
     }
 
-    const std::uint64_t cross = args.get_u64("cross");
+    const std::uint32_t cross = args.get_u32("cross");
     if (cross > 0) {
       if (!s.sampled) {
         throw std::invalid_argument(
@@ -139,9 +147,8 @@ int main(int argc, char** argv) {
       // between independent draws, not correlated streams.
       std::vector<std::uint64_t> exact_levels;
       std::vector<double> exact_max;
-      for (std::uint64_t r = 0; r < cross; ++r) {
-        bbb::rng::Engine gen =
-            bbb::rng::SeedSequence(cfg.seed + 1).engine(static_cast<std::uint32_t>(r));
+      for (std::uint32_t r = 0; r < cross; ++r) {
+        bbb::rng::Engine gen = bbb::rng::SeedSequence(cfg.seed + 1).engine(r);
         const auto loads = bbb::model::exact_loads(
             cfg.m, static_cast<std::uint32_t>(cfg.n), gen);
         const auto levels = bbb::model::level_counts_of(loads);

@@ -28,6 +28,12 @@ contract a past PR established and the tree now relies on:
   header-hygiene      Every .hpp opens with #pragma once (first
                       non-comment line) and headers never say
                       `using namespace`.
+  cli-doc-flags       Every `--flag` on a documented `bbb_<tool>` command
+                      line (README.md, tools/README.md, docs/*.md,
+                      src/**/README.md, .claude/skills/verify/SKILL.md;
+                      backslash continuations followed) is registered by that
+                      tool's add_flag or by obs/cli.cpp — so a removed
+                      flag cannot linger in the docs.
 
 Suppression: append `// bbb-lint: allow(rule-id)` to the offending line.
 Use sparingly and say why on the same line or the one above.
@@ -267,12 +273,68 @@ def check_header_hygiene(root):
     return violations
 
 
+# cli-doc-flags: a flag registration; a tool invocation (not a file name
+# like bbb_sim.cpp); a flag; and where a command ends (shell separator,
+# markdown code/table delimiter, shell comment).
+ADD_FLAG_RE = re.compile(r'add_flag\(\s*"([a-z0-9-]+)"')
+TOOL_RE = re.compile(r"\bbbb_([a-z]+)\b(?!\.(?:cpp|hpp|py)\b)")
+DOC_FLAG_RE = re.compile(r"(?<![\w-])--([a-z][a-z0-9-]*)")
+COMMAND_END_RE = re.compile(r"&&|\|\||[|;`]|\s#|\bbbb_[a-z]+\b")
+
+
+def registered_flags(path):
+    if not os.path.isfile(path):
+        return set()
+    with open(path, encoding="utf-8") as f:
+        return set(ADD_FLAG_RE.findall(f.read()))
+
+
+def check_cli_doc_flags(root):
+    """Documented bbb_<tool> command lines use only registered flags."""
+    shared = {"help"} | registered_flags(os.path.join(root, "src", "bbb", "obs", "cli.cpp"))
+    tools = os.path.join(root, "tools")
+    names = sorted(os.listdir(tools)) if os.path.isdir(tools) else []
+    flags = {name[4:-4]: registered_flags(os.path.join(tools, name)) | shared
+             for name in names if name.startswith("bbb_") and name.endswith(".cpp")}
+    docs = [os.path.join(root, rel_path) for rel_path in
+            ("README.md", "tools/README.md", ".claude/skills/verify/SKILL.md")]
+    for top, pattern in (("docs", ".md"), ("src", "README.md")):
+        for dirpath, _dirnames, filenames in os.walk(os.path.join(root, top)):
+            docs += [os.path.join(dirpath, n) for n in sorted(filenames)
+                     if n.endswith(pattern)]
+    violations = []
+    for path in (p for p in docs if os.path.isfile(p)):
+        start, text = None, ""
+        for i, line in enumerate(read_lines(path), 1):
+            # Join backslash continuations into one command line.
+            start = start or i
+            if line.rstrip().endswith("\\"):
+                text += line.rstrip()[:-1] + " "
+                continue
+            logical, lineno = text + line, start
+            text, start = "", None
+            if suppressed(logical, "cli-doc-flags"):
+                continue
+            for tool in TOOL_RE.finditer(logical):
+                if tool.group(1) not in flags:
+                    continue
+                tail = logical[tool.end():]
+                end = COMMAND_END_RE.search(tail)
+                for flag in DOC_FLAG_RE.findall(tail[:end.start() if end else None]):
+                    if flag not in flags[tool.group(1)]:
+                        violations.append((rel(root, path), lineno, "cli-doc-flags",
+                                           f"bbb_{tool.group(1)} registers no flag "
+                                           f"--{flag} — update the doc"))
+    return violations
+
+
 RULES = (
     ("obs-boundary", check_obs_boundary),
     ("lemire-only", check_lemire_only),
     ("golden-pin-coverage", check_golden_pin_coverage),
     ("no-wild-randomness", check_no_wild_randomness),
     ("header-hygiene", check_header_hygiene),
+    ("cli-doc-flags", check_cli_doc_flags),
 )
 
 

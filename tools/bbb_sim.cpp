@@ -5,16 +5,21 @@
 ///   $ bbb_sim --protocol=adaptive --m=1000000 --n=10000 --reps=20
 ///   $ bbb_sim --protocol='greedy[2]' --m=65536 --n=65536 --histogram=1
 ///   $ bbb_sim --protocol=threshold --csv=reps.csv ...
+///   $ bbb_sim --protocol='shards[4]:greedy[2]' ...   # sharded engine
+///
+/// The BinState layout is derived per run (core::preferred_layout) and
+/// named in the table title. The one-choice occupancy law is sampled by
+/// bbb_law, not here.
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "bbb/core/protocols/registry.hpp"
 #include "bbb/core/spec.hpp"
 #include "bbb/io/argparse.hpp"
 #include "bbb/io/csv.hpp"
 #include "bbb/io/table.hpp"
-#include "bbb/law/one_choice.hpp"
 #include "bbb/obs/cli.hpp"
 #include "bbb/rng/streams.hpp"
 #include "bbb/shard/engine.hpp"
@@ -29,16 +34,6 @@ int main(int argc, char** argv) {
   args.add_flag("reps", std::uint64_t{10}, "replicates");
   args.add_flag("seed", std::uint64_t{42}, "master seed");
   args.add_flag("threads", std::uint64_t{0}, "worker threads (0 = hardware)");
-  args.add_flag("shards", std::uint64_t{0},
-                "run the sharded multi-core engine with this many worker "
-                "shards (prepends shards[t]: to the protocol spec; 0 = off)");
-  args.add_flag("layout", std::string("wide"),
-                "BinState storage: wide|compact (compact streams place_one "
-                "over 8-bit lanes, ~1 byte/bin — the n=2^30 tier)");
-  args.add_flag("tier", std::string("exact"),
-                "exact|law (law samples the one-choice occupancy law "
-                "directly — O(sqrt(m)) per replicate; see bbb_law for "
-                "astronomical n and the fluid d-choice curves)");
   args.add_flag("format", std::string("ascii"), "ascii|markdown|csv");
   args.add_flag("histogram", std::uint64_t{0}, "1 = print a load histogram");
   args.add_flag("csv", std::string(""), "dump per-replicate rows to this file");
@@ -57,16 +52,10 @@ int main(int argc, char** argv) {
 
     bbb::sim::ExperimentConfig cfg;
     cfg.protocol_spec = args.get_string("protocol");
-    if (const std::uint64_t shards = args.get_u64("shards"); shards != 0) {
-      cfg.protocol_spec =
-          "shards[" + std::to_string(shards) + "]:" + cfg.protocol_spec;
-    }
     cfg.m = args.get_u64("m");
-    cfg.n = static_cast<std::uint32_t>(args.get_u64("n"));
-    cfg.replicates = static_cast<std::uint32_t>(args.get_u64("reps"));
+    cfg.n = args.get_u32("n");
+    cfg.replicates = args.get_u32("reps");
     cfg.seed = args.get_u64("seed");
-    cfg.layout = bbb::core::parse_state_layout(args.get_string("layout"));
-    cfg.tier = bbb::sim::parse_tier(args.get_string("tier"));
     cfg.obs = bbb::obs::parse_obs_flags(args);
     const auto format = bbb::io::parse_format(args.get_string("format"));
 
@@ -74,7 +63,8 @@ int main(int argc, char** argv) {
     const bbb::sim::RunSummary s = bbb::sim::run_experiment(cfg, pool);
 
     bbb::io::Table table({"metric", "mean", "stddev", "min", "max", "ci95"});
-    table.set_title(s.protocol_name + "  " + cfg.describe());
+    // s.config carries the layout the run resolved, so the title names it.
+    table.set_title(s.protocol_name + "  " + s.config.describe());
     const auto add = [&table](const std::string& name,
                               const bbb::stats::RunningStats& st, int prec) {
       table.begin_row();
@@ -112,52 +102,37 @@ int main(int argc, char** argv) {
     if (args.get_u64("histogram") != 0) {
       // One representative run for the histogram (replicate 0's seed).
       bbb::rng::Engine gen = bbb::rng::SeedSequence(cfg.seed).engine(0);
-      if (cfg.tier == bbb::sim::Tier::kLaw) {
-        // Law tier: the sampled profile IS the histogram.
-        const auto profile = bbb::law::sample_one_choice_profile(cfg.m, cfg.n, gen);
-        bbb::stats::IntHistogram hist;
-        for (std::size_t i = 0; i < profile.counts().size(); ++i) {
-          if (profile.counts()[i] > 0) hist.add(profile.base() + i, profile.counts()[i]);
-        }
-        std::puts("\nload histogram (replicate 0):");
-        std::fputs(hist.render_ascii(48).c_str(), stdout);
-      } else if (const auto prefix =
-                     bbb::core::split_spec_prefix(cfg.protocol_spec, "protocol");
-                 prefix.shards != 0) {
+      const bbb::core::StateLayout layout = *s.config.layout;
+      std::vector<std::uint32_t> levels;
+      if (const auto prefix = bbb::core::split_spec_prefix(cfg.protocol_spec, "protocol");
+          prefix.shards != 0) {
         // Sharded: run the engine and read the merged level counts (no
         // 32-bit load vector materialized).
         bbb::shard::ShardOptions opt;
         opt.shards = prefix.shards;
-        opt.layout = cfg.layout;
+        opt.layout = layout;
         opt.m_hint = cfg.m;
         bbb::shard::ShardedAllocator engine(prefix.rest, cfg.n, opt);
         engine.run(cfg.m, gen);
-        const auto levels = engine.merged_level_counts();
-        bbb::stats::IntHistogram hist;
-        for (std::size_t l = 0; l < levels.size(); ++l) {
-          if (levels[l] > 0) hist.add(l, levels[l]);
-        }
-        std::puts("\nload histogram (replicate 0):");
-        std::fputs(hist.render_ascii(48).c_str(), stdout);
+        levels = engine.merged_level_counts();
       } else {
-        // Run replicate 0 as sim::run_replicate does (either layout) and
-        // build the histogram straight off the state's incremental level
-        // counts — O(max load); no load vector is copied (at n = 2^30 that
-        // vector alone would be 4 GiB).
-        const auto alloc = bbb::core::make_streaming_allocator(cfg.protocol_spec,
-                                                               cfg.n, cfg.m,
-                                                               cfg.layout);
+        // Run replicate 0 as sim::run_replicate does and read the state's
+        // incremental level counts — O(max load); no load vector is copied
+        // (at n = 2^30 that vector alone would be 4 GiB).
+        const auto alloc =
+            bbb::core::make_streaming_allocator(cfg.protocol_spec, cfg.n, cfg.m, layout);
         alloc->set_engine_exclusive(true);
         alloc->run_batch(cfg.m, gen);
         const bbb::core::BinState& state = alloc->state();
-        bbb::stats::IntHistogram hist;
-        const auto& levels = state.level_counts();
-        for (std::uint32_t l = 0; l <= state.max_load(); ++l) {
-          if (levels[l] > 0) hist.add(l, levels[l]);
-        }
-        std::puts("\nload histogram (replicate 0):");
-        std::fputs(hist.render_ascii(48).c_str(), stdout);
+        const auto& counts = state.level_counts();
+        levels.assign(counts.begin(), counts.begin() + state.max_load() + 1);
       }
+      bbb::stats::IntHistogram hist;
+      for (std::size_t l = 0; l < levels.size(); ++l) {
+        if (levels[l] > 0) hist.add(l, levels[l]);
+      }
+      std::puts("\nload histogram (replicate 0):");
+      std::fputs(hist.render_ascii(48).c_str(), stdout);
     }
 
     const std::string csv_path = args.get_string("csv");

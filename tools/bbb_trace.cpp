@@ -28,8 +28,6 @@ int main(int argc, char** argv) {
   args.add_flag("n", std::uint64_t{10'000}, "bins");
   args.add_flag("points", std::uint64_t{10}, "snapshots to record");
   args.add_flag("seed", std::uint64_t{42}, "seed");
-  args.add_flag("layout", std::string("wide"),
-                "BinState storage: wide|compact (~1 byte/bin giant-scale tier)");
   args.add_flag("format", std::string("ascii"), "ascii|markdown|csv");
   args.add_flag("csv", std::string(""), "also dump points to this CSV file");
   args.add_flag("list", std::uint64_t{0}, "1 = print protocol spec strings and exit");
@@ -46,7 +44,7 @@ int main(int argc, char** argv) {
     }
 
     const auto m = args.get_u64("m");
-    const auto n = static_cast<std::uint32_t>(args.get_u64("n"));
+    const auto n = args.get_u32("n");
     const auto points = args.get_u64("points");
     const auto format = bbb::io::parse_format(args.get_string("format"));
     if (points == 0) throw std::invalid_argument("--points must be positive");
@@ -55,9 +53,9 @@ int main(int argc, char** argv) {
     bbb::rng::Engine gen(args.get_u64("seed"));
     // The m hint binds fixed-bound rules (threshold) to this run's total;
     // the factory also honors capacities= prefixes (heterogeneous bins).
-    const auto alloc = bbb::core::make_streaming_allocator(
-        args.get_string("protocol"), n, m,
-        bbb::core::parse_state_layout(args.get_string("layout")));
+    const std::string& spec = args.get_string("protocol");
+    const bbb::core::StateLayout layout = bbb::core::preferred_layout(spec, n, m);
+    const auto alloc = bbb::core::make_streaming_allocator(spec, n, m, layout);
     if (obs.sink) {
       bbb::obs::JsonLine line("run_start", "trace");
       line.begin_object("config")
@@ -66,6 +64,7 @@ int main(int argc, char** argv) {
           .field("n", static_cast<std::uint64_t>(n))
           .field("points", points)
           .field("seed", args.get_u64("seed"))
+          .field("layout", bbb::core::to_string(layout))
           .end_object();
       obs.sink->write(std::move(line));
     }
@@ -86,7 +85,8 @@ int main(int argc, char** argv) {
 
     auto table = bbb::sim::trace_table(trace);
     table.set_title(alloc->name() + " trajectory, m = " + std::to_string(m) +
-                    ", n = " + std::to_string(n));
+                    ", n = " + std::to_string(n) + ", layout = " +
+                    std::string(bbb::core::to_string(layout)));
     std::fputs(table.render(format).c_str(), stdout);
     // Metric summary on stderr so piped stdout (csv/markdown) stays clean.
     bbb::obs::print_summary(obs_snapshot, stderr);

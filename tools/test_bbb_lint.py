@@ -199,6 +199,46 @@ class HeaderHygiene(FixtureTree):
         self.assertEqual(bbb_lint.check_header_hygiene(self.root), [])
 
 
+class CliDocFlags(FixtureTree):
+    def setUp(self):
+        super().setUp()
+        write(self.root, "tools/bbb_sim.cpp",
+              'args.add_flag("protocol", std::string("adaptive"), "spec");\n'
+              'args.add_flag(\n    "reps", std::uint64_t{10}, "replicates");\n')
+        write(self.root, "src/bbb/obs/cli.cpp",
+              'parser.add_flag("obs", "off", "level");\n')
+
+    def test_unregistered_flag_on_a_continued_line_fires(self):
+        write(self.root, "README.md",
+              "```sh\n./build/tools/bbb_sim --protocol=adaptive \\\n"
+              "    --layout=compact --reps=2\n```\n")
+        violations = bbb_lint.check_cli_doc_flags(self.root)
+        self.assertEqual(rules_fired(violations), ["cli-doc-flags"])
+        self.assertEqual(len(violations), 1)
+        self.assertEqual(violations[0][:2], ("README.md", 2))
+        self.assertIn("--layout", violations[0][3])
+
+    def test_inline_code_in_a_nested_readme_fires(self):
+        write(self.root, "src/bbb/law/README.md",
+              "The sim tier used `bbb_sim --tier=law` for this.\n")
+        violations = bbb_lint.check_cli_doc_flags(self.root)
+        self.assertEqual(rules_fired(violations), ["cli-doc-flags"])
+
+    def test_registered_and_shared_flags_are_clean(self):
+        write(self.root, "docs/EXPERIMENTS.md",
+              "bbb_sim --protocol='greedy[2]' --reps=4 --obs=counters --help\n")
+        self.assertEqual(bbb_lint.check_cli_doc_flags(self.root), [])
+
+    def test_flags_after_the_command_ends_are_not_checked(self):
+        write(self.root, "docs/EXPERIMENTS.md",
+              "bbb_sim --reps=2 && ctest --output-on-failure\n"
+              "`bbb_sim` accepts `--anything` in prose\n"
+              "see tools/bbb_sim.cpp --not-a-command\n"
+              "bbb_sim --reps=1  # --layout is gone\n"
+              "bbb_lint.py --list-rules\n")
+        self.assertEqual(bbb_lint.check_cli_doc_flags(self.root), [])
+
+
 class MainEntry(FixtureTree):
     def test_clean_fixture_exits_zero(self):
         self.assertEqual(bbb_lint.main(["bbb_lint.py", self.root]), 0)
