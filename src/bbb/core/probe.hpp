@@ -1,7 +1,8 @@
 #pragma once
 /// \file probe.hpp
-/// The two probe loops every uniform-probing rule in the library shares,
-/// plus the raw-word probe lookahead that makes them fast at giant n.
+/// The probe loops the probing rules in the library share (probe-until-
+/// accept over any bin draw, and the least-loaded-of-d scans), plus the
+/// raw-word probe lookahead that makes them fast at giant n.
 /// Since the single-streaming-core refactor there is exactly one copy of
 /// each decision rule (core/protocols/), driven by both the batch adapter
 /// and the dyn engine; these helpers fix the randomness-consumption order
@@ -181,15 +182,25 @@ class LookaheadSource {
   return static_cast<std::uint32_t>(rng::lemire_map(word, n));
 }
 
-/// Sample uniform bins until `accept(bin)` holds; returns the accepted bin
-/// and adds one to `probes` per sample. The caller guarantees some bin is
-/// acceptable (every threshold/adaptive termination argument lives at the
-/// call site).
-template <rng::Engine64 Engine, typename AcceptFn>
-std::uint32_t probe_until(Engine& gen, std::uint32_t n, std::uint64_t& probes,
+/// The uniform probe draw: one uniform_below(n) per sample.
+struct UniformBin {
+  std::uint32_t n;
+
+  template <rng::Engine64 Engine>
+  [[nodiscard]] std::uint32_t operator()(Engine& gen) const {
+    return static_cast<std::uint32_t>(rng::uniform_below(gen, n));
+  }
+};
+
+/// Sample bins via `draw(gen)` (UniformBin, or a skewed sampler) until
+/// `accept(bin)` holds; returns the accepted bin and adds one to `probes`
+/// per sample. The caller guarantees some bin is acceptable (every
+/// bounded-probe termination argument lives at the call site).
+template <rng::Engine64 Engine, typename DrawFn, typename AcceptFn>
+std::uint32_t probe_until(Engine& gen, std::uint64_t& probes, DrawFn&& draw,
                           AcceptFn&& accept) {
   for (;;) {
-    const auto bin = static_cast<std::uint32_t>(rng::uniform_below(gen, n));
+    const std::uint32_t bin = draw(gen);
     ++probes;
     if (accept(bin)) return bin;
   }

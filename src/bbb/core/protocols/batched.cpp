@@ -30,7 +30,7 @@ std::uint32_t BatchedRule::do_place(BinState& state, std::uint32_t /*weight*/,
                            std::to_string(capacity_));
   }
   const std::uint32_t bin = probe_until(
-      gen, state.n(), probes_,
+      gen, probes_, UniformBin{state.n()},
       [this, &state](std::uint32_t b) { return state.load(b) < capacity_; });
   state.add_ball(bin);
   return bin;

@@ -7,18 +7,14 @@
 
 #include "bbb/core/spec.hpp"
 
-#include "bbb/core/protocols/adaptive.hpp"
 #include "bbb/core/protocols/batched.hpp"
+#include "bbb/core/protocols/bounded_probe.hpp"
 #include "bbb/core/protocols/cuckoo.hpp"
 #include "bbb/core/protocols/d_choice.hpp"
-#include "bbb/core/protocols/doubling_threshold.hpp"
 #include "bbb/core/protocols/left_d.hpp"
 #include "bbb/core/protocols/memory_dk.hpp"
 #include "bbb/core/protocols/one_choice.hpp"
 #include "bbb/core/protocols/self_balancing.hpp"
-#include "bbb/core/protocols/skewed_adaptive.hpp"
-#include "bbb/core/protocols/stale_adaptive.hpp"
-#include "bbb/core/protocols/threshold.hpp"
 #include "bbb/shard/engine.hpp"
 
 namespace bbb::core {
@@ -76,6 +72,14 @@ std::string slack_name(const std::string& base, std::uint32_t slack) {
   return slack == 1 ? base : bracketed(base, {slack});
 }
 
+/// The binder of a bounded-probe family whose spec does not depend on
+/// (n, m_hint).
+RuleBinder bounded(const BoundSpec& spec, const std::string& name) {
+  return [spec, name](std::uint32_t n, std::uint64_t) {
+    return std::make_unique<BoundedProbeRule>(n, spec, name);
+  };
+}
+
 ParsedProtocol parse_protocol(const std::string& spec) {
   ParsedProtocol p;
   p.prefix = split_spec_prefix(spec, kKind);
@@ -123,36 +127,30 @@ ParsedProtocol parse_protocol(const std::string& spec) {
     p.name = slack_name(s.name, slack);
     // No hint: provision for a net population of n balls, so threshold[c]
     // accepts load <= ceil(n/n) + c - 1 = c.
-    p.bind = [slack](std::uint32_t n, std::uint64_t m_hint) {
-      return std::make_unique<ThresholdRule>(n, m_hint == 0 ? n : m_hint, slack);
+    p.bind = [slack, name = p.name](std::uint32_t n, std::uint64_t m_hint) {
+      const BoundSpec bound{
+          .clock = BoundClock::kFixed, .slack = slack, .arg = m_hint == 0 ? n : m_hint};
+      return std::make_unique<BoundedProbeRule>(n, bound, name);
     };
   } else if (s.name == "doubling-threshold") {
     const std::uint64_t guess = spec_optional_arg(s, 0, rest, kKind);
     p.name = bracketed(s.name, {guess});
-    p.bind = [guess](std::uint32_t n, std::uint64_t) {
-      return std::make_unique<DoublingThresholdRule>(n, guess);
-    };
+    p.bind = bounded({.clock = BoundClock::kDoubling, .arg = guess}, p.name);
   } else if (s.name == "adaptive" || s.name == "adaptive-net" ||
              s.name == "adaptive-total") {
     const std::uint32_t slack = spec_optional_arg_u32(s, 1, rest, kKind);
-    const AdaptiveCount count =
-        s.name == "adaptive-net" ? AdaptiveCount::kNet : AdaptiveCount::kTotal;
+    const BoundClock clock =
+        s.name == "adaptive-net" ? BoundClock::kNet : BoundClock::kPlaced;
     p.name = slack_name(s.name, slack);
-    p.bind = [slack, count, base = s.name](std::uint32_t, std::uint64_t) {
-      return std::make_unique<AdaptiveRule>(slack, count, base);
-    };
+    p.bind = bounded({.clock = clock, .slack = slack}, p.name);
   } else if (s.name == "stale-adaptive") {
     const std::uint32_t delta = positive(arg_at(s, 0, rest), rest);
     p.name = bracketed(s.name, {delta});
-    p.bind = [delta](std::uint32_t n, std::uint64_t) {
-      return std::make_unique<StaleAdaptiveRule>(n, delta);
-    };
+    p.bind = bounded({.clock = BoundClock::kStale, .arg = delta}, p.name);
   } else if (s.name == "skewed-adaptive") {
     const std::uint32_t s100 = arg_at(s, 0, rest);
     p.name = bracketed(s.name, {s100});
-    p.bind = [s100](std::uint32_t n, std::uint64_t) {
-      return std::make_unique<SkewedAdaptiveRule>(n, static_cast<double>(s100) / 100.0);
-    };
+    p.bind = bounded({.zipf_s = static_cast<double>(s100) / 100.0}, p.name);
   } else if (s.name == "batched") {
     const std::uint32_t capacity =
         positive(spec_optional_arg_u32(s, 2, rest, kKind), rest);

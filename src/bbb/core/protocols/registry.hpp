@@ -56,8 +56,18 @@
 /// (256). Cannot combine with `capacities=`; t > 1 supports one-choice /
 /// greedy[d] / left[d].
 ///
-/// The three adaptive spellings are identical on arrivals-only streams;
-/// net and total only diverge once departures arrive (see adaptive.hpp).
+/// threshold, doubling-threshold and the adaptive families all build one
+/// BoundedProbeRule (bounded_probe.hpp): probe until load <=
+/// ceil((c + 1)/n) + slack - 1, where the clock c is
+///   adaptive, adaptive-total, skewed-adaptive   T, the balls placed so far
+///   adaptive-net                                B, the balls present now
+///   threshold                                   m - 1 (m = m_hint, or n)
+///   doubling-threshold                          G(T) - 1, the doubled guess
+///   stale-adaptive                              delta * floor(T / delta)
+/// (slack 1 where the spec has none). Binding rejects a first bound above
+/// 2^32 - 1 and a skew whose coldest bin Zipf(s) cannot reach. The three
+/// adaptive spellings are identical on arrivals-only streams; net and
+/// total only diverge once departures arrive.
 
 #include <cstdint>
 #include <memory>

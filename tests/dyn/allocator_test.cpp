@@ -13,7 +13,7 @@
 
 #include "bbb/core/metrics.hpp"
 #include "bbb/core/protocol.hpp"
-#include "bbb/core/protocols/adaptive.hpp"
+#include "bbb/core/protocols/bounded_probe.hpp"
 #include "bbb/core/protocols/cuckoo.hpp"
 #include "bbb/core/protocols/registry.hpp"
 #include "bbb/core/protocols/self_balancing.hpp"
@@ -179,8 +179,8 @@ TEST(DynAdaptive, BoundsDivergeUnderChurn) {
   rng::Engine gen(5);
   const auto net = make_streaming_allocator("adaptive-net", n);
   const auto total = make_streaming_allocator("adaptive-total", n);
-  const auto& net_rule = dynamic_cast<const core::AdaptiveRule&>(net->rule());
-  const auto& total_rule = dynamic_cast<const core::AdaptiveRule&>(total->rule());
+  const auto& net_rule = dynamic_cast<const core::BoundedProbeRule&>(net->rule());
+  const auto& total_rule = dynamic_cast<const core::BoundedProbeRule&>(total->rule());
   for (std::uint32_t i = 0; i < 4 * n; ++i) {
     net->place(gen);
     total->place(gen);
@@ -195,6 +195,9 @@ TEST(DynAdaptive, BoundsDivergeUnderChurn) {
   }
   EXPECT_EQ(net_rule.accept_bound(net->state()), net_bound);
   EXPECT_GT(total_rule.accept_bound(total->state()), net_bound + 10);
+  // The net clock reads the balls present, the total clock the balls placed.
+  EXPECT_EQ(net_rule.clock(net->state()), net->state().balls());
+  EXPECT_EQ(total_rule.clock(total->state()), total->total_placed());
 }
 
 // ----------------------------------------------------- fixed-bound rules

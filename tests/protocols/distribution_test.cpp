@@ -8,7 +8,7 @@
 #include <cmath>
 
 #include "bbb/core/metrics.hpp"
-#include "bbb/core/protocols/adaptive.hpp"
+#include "bbb/core/protocols/bounded_probe.hpp"
 #include "bbb/core/protocols/registry.hpp"
 #include "bbb/rng/streams.hpp"
 #include "bbb/stats/histogram.hpp"
@@ -91,7 +91,7 @@ TEST(LoadDistribution, AdaptiveMinLoadTracksStages) {
   constexpr std::uint32_t stages = 32;
   rng::Engine gen(34);
   BinState state(n);
-  AdaptiveRule rule;
+  BoundedProbeRule rule(n, {.clock = BoundClock::kPlaced}, "adaptive");
   std::uint32_t prev_min = 0;
   for (std::uint32_t tau = 1; tau <= stages; ++tau) {
     for (std::uint32_t b = 0; b < n; ++b) (void)rule.place_one(state, gen);

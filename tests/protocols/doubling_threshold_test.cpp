@@ -1,36 +1,58 @@
-#include "bbb/core/protocols/doubling_threshold.hpp"
-
 #include <gtest/gtest.h>
 
 #include <numeric>
 
 #include "bbb/core/metrics.hpp"
+#include "bbb/core/protocols/bounded_probe.hpp"
 #include "bbb/core/protocols/registry.hpp"
 #include "bbb/rng/streams.hpp"
 
 namespace bbb::core {
 namespace {
 
-TEST(DoublingThreshold, Validation) {
-  EXPECT_THROW(DoublingThresholdRule(0), std::invalid_argument);
+BoundedProbeRule doubling_rule(std::uint32_t n, std::uint64_t initial_guess = 0) {
+  return BoundedProbeRule(n, {.clock = BoundClock::kDoubling, .arg = initial_guess},
+                          "doubling-threshold[" + std::to_string(initial_guess) + "]");
 }
 
+TEST(DoublingThreshold, Validation) {
+  EXPECT_THROW(doubling_rule(0), std::invalid_argument);
+}
+
+// The clock is G - 1 for the guess G in force for the next ball.
 TEST(DoublingThreshold, GuessDefaultsToN) {
-  DoublingThresholdRule rule(64);
-  EXPECT_EQ(rule.guess(), 64u);
-  EXPECT_EQ(rule.accept_bound(), 1u);
+  const BinState state(64);
+  const BoundedProbeRule rule = doubling_rule(64);
+  EXPECT_EQ(rule.clock(state), 64u - 1);
+  EXPECT_EQ(rule.accept_bound(state), 1u);
 }
 
 TEST(DoublingThreshold, GuessDoublesWhenExhausted) {
   constexpr std::uint32_t n = 16;
   BinState state(n);
-  DoublingThresholdRule rule(n);
+  BoundedProbeRule rule = doubling_rule(n);
   rng::Engine gen(3);
-  for (std::uint32_t i = 0; i < n; ++i) (void)rule.place_one(state, gen);
-  EXPECT_EQ(rule.guess(), n);  // doubling happens lazily on the next place
+  for (std::uint32_t i = 0; i + 1 < n; ++i) (void)rule.place_one(state, gen);
+  EXPECT_EQ(rule.clock(state), n - 1);  // ball n still runs under guess n
+  EXPECT_EQ(rule.accept_bound(state), 1u);
   (void)rule.place_one(state, gen);
-  EXPECT_EQ(rule.guess(), 2 * n);
-  EXPECT_EQ(rule.accept_bound(), 2u);
+  EXPECT_EQ(rule.clock(state), 2 * n - 1);  // n placed: ball n + 1 doubles it
+  EXPECT_EQ(rule.accept_bound(state), 2u);
+}
+
+TEST(DoublingThreshold, FirstBoundMustFitInUint32) {
+  // At n = 1 the first bound is the guess itself. A guess of 2^32 used to
+  // narrow to a bound of 0 and hang the first ball; it is rejected at
+  // bind, and 2^32 - 1 is the largest guess that binds.
+  EXPECT_THROW((void)make_rule("doubling-threshold[4294967296]", 1),
+               std::invalid_argument);
+  const auto rule = make_rule("doubling-threshold[4294967295]", 1);
+  const BinState state(1);
+  EXPECT_EQ(dynamic_cast<const BoundedProbeRule&>(*rule).accept_bound(state),
+            4294967295u);
+  rng::Engine gen(1);
+  EXPECT_THROW((void)make_protocol("doubling-threshold[4294967296]")->run(4, 1, gen),
+               std::invalid_argument);
 }
 
 TEST(DoublingThreshold, ConservesBalls) {
@@ -73,9 +95,10 @@ TEST(DoublingThreshold, AllocationTimeStaysLinear) {
 }
 
 TEST(DoublingThreshold, ExplicitInitialGuessHonored) {
-  DoublingThresholdRule rule(10, 100);
-  EXPECT_EQ(rule.guess(), 100u);
-  EXPECT_EQ(rule.accept_bound(), 10u);
+  const BinState state(10);
+  const BoundedProbeRule rule = doubling_rule(10, 100);
+  EXPECT_EQ(rule.clock(state), 100u - 1);
+  EXPECT_EQ(rule.accept_bound(state), 10u);
 }
 
 TEST(DoublingThreshold, RegistryRoundTrip) {

@@ -4,7 +4,7 @@
 
 #include <memory>
 
-#include "bbb/core/protocols/threshold.hpp"
+#include "bbb/core/protocols/bounded_probe.hpp"
 #include "bbb/rng/xoshiro256.hpp"
 
 namespace bbb::core {
@@ -164,7 +164,8 @@ TEST(Registry, ThresholdBoundDomainCheckedAtBind) {
     EXPECT_THROW((void)protocol->run(64, 16, gen), std::invalid_argument) << spec;
   }
   const auto rule = make_rule("threshold[4294967292]", 16, 64);
-  EXPECT_EQ(dynamic_cast<const ThresholdRule&>(*rule).accept_bound(), 4294967295u);
+  EXPECT_EQ(dynamic_cast<const BoundedProbeRule&>(*rule).accept_bound(BinState(16)),
+            4294967295u);
   rng::Engine gen(1);
   EXPECT_NO_THROW((void)make_protocol("threshold[4294967292]")->run(64, 16, gen));
 }

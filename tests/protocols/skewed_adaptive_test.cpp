@@ -1,19 +1,37 @@
-#include "bbb/core/protocols/skewed_adaptive.hpp"
-
 #include <gtest/gtest.h>
 
 #include <numeric>
 
 #include "bbb/core/metrics.hpp"
+#include "bbb/core/protocols/bounded_probe.hpp"
 #include "bbb/core/protocols/registry.hpp"
 #include "bbb/rng/streams.hpp"
 
 namespace bbb::core {
 namespace {
 
+BoundedProbeRule skewed_rule(std::uint32_t n, double s) {
+  return BoundedProbeRule(n, {.zipf_s = s}, "skewed-adaptive");
+}
+
 TEST(SkewedAdaptive, Validation) {
-  EXPECT_THROW(SkewedAdaptiveRule(0, 1.0), std::invalid_argument);
-  EXPECT_THROW(SkewedAdaptiveRule(8, -1.0), std::invalid_argument);
+  EXPECT_THROW(skewed_rule(0, 1.0), std::invalid_argument);
+  EXPECT_THROW(skewed_rule(8, -1.0), std::invalid_argument);
+}
+
+TEST(SkewedAdaptive, UnreachableColdBinsRejectedAtBind) {
+  // At n = 16 these skews give the coldest bin a Zipf weight that
+  // underflows to 0 (s = 42949672.95) or falls below 2^-53, the step of
+  // the alias table's uniform double (s = 50): once the hot bins pass the
+  // bound no probe could land, so the spec is rejected instead of hanging.
+  for (const char* spec : {"skewed-adaptive[4294967295]", "skewed-adaptive[5000]"}) {
+    EXPECT_THROW((void)make_rule(spec, 16), std::invalid_argument) << spec;
+    rng::Engine gen(1);
+    EXPECT_THROW((void)make_protocol(spec)->run(64, 16, gen), std::invalid_argument)
+        << spec;
+  }
+  // A strong but reachable skew still binds at scale.
+  EXPECT_NO_THROW((void)make_rule("skewed-adaptive[200]", 1024));
 }
 
 // The load guarantee is distribution-free: it must hold for every skew.
@@ -77,7 +95,7 @@ TEST(SkewedAdaptive, StreamingAndBatchAgree) {
   constexpr std::uint64_t m = 500;
   rng::Engine g1(21), g2(21);
   BinState state(n);
-  SkewedAdaptiveRule rule(n, 0.5);
+  BoundedProbeRule rule = skewed_rule(n, 0.5);
   for (std::uint64_t i = 0; i < m; ++i) (void)rule.place_one(state, g1);
   const auto batch = make_protocol("skewed-adaptive[50]")->run(m, n, g2);
   EXPECT_EQ(state.loads(), batch.loads);

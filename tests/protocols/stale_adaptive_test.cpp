@@ -1,18 +1,22 @@
-#include "bbb/core/protocols/stale_adaptive.hpp"
-
 #include <gtest/gtest.h>
 
 #include "bbb/core/metrics.hpp"
+#include "bbb/core/protocols/bounded_probe.hpp"
 #include "bbb/core/protocols/registry.hpp"
 #include "bbb/rng/streams.hpp"
 
 namespace bbb::core {
 namespace {
 
+BoundedProbeRule stale_rule(std::uint32_t n, std::uint32_t delta) {
+  return BoundedProbeRule(n, {.clock = BoundClock::kStale, .arg = delta},
+                          "stale-adaptive[" + std::to_string(delta) + "]");
+}
+
 TEST(StaleAdaptive, Validation) {
-  EXPECT_THROW(StaleAdaptiveRule(0, 1), std::invalid_argument);
-  EXPECT_THROW(StaleAdaptiveRule(8, 0), std::invalid_argument);
-  EXPECT_THROW(StaleAdaptiveRule(8, 9), std::invalid_argument);  // delta > n
+  EXPECT_THROW(stale_rule(0, 1), std::invalid_argument);
+  EXPECT_THROW(stale_rule(8, 0), std::invalid_argument);
+  EXPECT_THROW(stale_rule(8, 9), std::invalid_argument);  // delta > n
   EXPECT_THROW((void)make_protocol("stale-adaptive[0]"), std::invalid_argument);
 }
 
@@ -64,17 +68,17 @@ INSTANTIATE_TEST_SUITE_P(DeltaSweep, StaleDeltaTest,
 TEST(StaleAdaptive, BoundLagsPublication) {
   constexpr std::uint32_t n = 8;
   BinState state(n);
-  StaleAdaptiveRule rule(n, 8);  // publish once per stage
+  BoundedProbeRule rule = stale_rule(n, 8);  // publish once per stage
   rng::Engine gen(3);
-  EXPECT_EQ(rule.accept_bound(), 1u);
+  EXPECT_EQ(rule.accept_bound(state), 1u);
   for (int i = 0; i < 7; ++i) {
     (void)rule.place_one(state, gen);
-    EXPECT_EQ(rule.published_count(), 0u);  // not yet published
-    EXPECT_EQ(rule.accept_bound(), 1u);
+    EXPECT_EQ(rule.clock(state), 0u);  // not yet published
+    EXPECT_EQ(rule.accept_bound(state), 1u);
   }
   (void)rule.place_one(state, gen);  // 8th ball triggers publication
-  EXPECT_EQ(rule.published_count(), 8u);
-  EXPECT_EQ(rule.accept_bound(), 2u);
+  EXPECT_EQ(rule.clock(state), 8u);
+  EXPECT_EQ(rule.accept_bound(state), 2u);
 }
 
 TEST(StaleAdaptive, NamesRoundTrip) {

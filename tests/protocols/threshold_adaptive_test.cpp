@@ -11,14 +11,23 @@
 #include <tuple>
 
 #include "bbb/core/metrics.hpp"
-#include "bbb/core/protocols/adaptive.hpp"
+#include "bbb/core/protocols/bounded_probe.hpp"
 #include "bbb/core/protocols/registry.hpp"
-#include "bbb/core/protocols/threshold.hpp"
 #include "bbb/rng/streams.hpp"
 #include "bbb/theory/bounds.hpp"
 
 namespace bbb::core {
 namespace {
+
+BoundedProbeRule adaptive_rule(std::uint32_t n) {
+  return BoundedProbeRule(n, {.clock = BoundClock::kPlaced}, "adaptive");
+}
+
+BoundedProbeRule threshold_rule(std::uint32_t n, std::uint64_t m,
+                                std::uint32_t slack = 1) {
+  return BoundedProbeRule(n, {.clock = BoundClock::kFixed, .slack = slack, .arg = m},
+                          "threshold");
+}
 
 // ----------------------------------------------------- integer-rule identity
 
@@ -94,7 +103,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Adaptive, BoundStartsAtSlackAndBumpsPerStage) {
   BinState state(4);
-  AdaptiveRule rule(1);
+  BoundedProbeRule rule = adaptive_rule(4);
   rng::Engine gen(3);
   EXPECT_EQ(rule.accept_bound(state), 1u);  // balls 1..4: ceil(i/4) = 1
   for (int i = 0; i < 4; ++i) rule.place_one(state, gen);
@@ -108,7 +117,7 @@ TEST(Adaptive, EveryPrefixRespectsItsOwnBound) {
   // no bin may exceed ceil(i/n) + 1.
   constexpr std::uint32_t n = 16;
   BinState state(n);
-  AdaptiveRule rule(1);
+  BoundedProbeRule rule = adaptive_rule(n);
   rng::Engine gen(11);
   for (std::uint64_t i = 1; i <= 20 * n; ++i) {
     rule.place_one(state, gen);
@@ -124,7 +133,7 @@ TEST(Adaptive, StreamingMatchesBatchProtocol) {
   constexpr std::uint64_t m = 500;
   rng::Engine g1(21), g2(21);
   BinState state(n);
-  AdaptiveRule rule(1);
+  BoundedProbeRule rule = adaptive_rule(n);
   for (std::uint64_t i = 0; i < m; ++i) rule.place_one(state, g1);
   const AllocationResult batch = make_protocol("adaptive")->run(m, n, g2);
   EXPECT_EQ(state.loads(), batch.loads);
@@ -141,14 +150,13 @@ TEST(Adaptive, RejectsZeroBins) {
 // ------------------------------------------------------- threshold mechanics
 
 TEST(Threshold, AcceptBoundIsCeilOfAverage) {
-  ThresholdRule a(10, 100);
-  EXPECT_EQ(a.accept_bound(), 10u);
-  ThresholdRule b(10, 101);
-  EXPECT_EQ(b.accept_bound(), 11u);
-  ThresholdRule c(10, 100, 2);
-  EXPECT_EQ(c.accept_bound(), 11u);
-  ThresholdRule d(10, 100, 0);
-  EXPECT_EQ(d.accept_bound(), 9u);
+  const BinState state(10);
+  EXPECT_EQ(threshold_rule(10, 100).accept_bound(state), 10u);
+  EXPECT_EQ(threshold_rule(10, 101).accept_bound(state), 11u);
+  EXPECT_EQ(threshold_rule(10, 100, 2).accept_bound(state), 11u);
+  EXPECT_EQ(threshold_rule(10, 100, 0).accept_bound(state), 9u);
+  // The fixed clock is m - 1 whatever has been placed.
+  EXPECT_EQ(threshold_rule(10, 100).clock(state), 99u);
 }
 
 TEST(Threshold, DeadlockedBoundThrowsInsteadOfSpinning) {
@@ -156,7 +164,7 @@ TEST(Threshold, DeadlockedBoundThrowsInsteadOfSpinning) {
   // ball the fixed bound can never admit another, and the rule reports
   // the deadlock in O(1) rather than probing forever.
   BinState state(2);
-  ThresholdRule rule(2, 2, 0);
+  BoundedProbeRule rule = threshold_rule(2, 2, 0);
   rng::Engine gen(5);
   rule.place_one(state, gen);
   rule.place_one(state, gen);
@@ -168,8 +176,8 @@ TEST(Threshold, DeadlockedBoundThrowsInsteadOfSpinning) {
 }
 
 TEST(Threshold, SlackZeroRejectedOnlyForZeroM) {
-  EXPECT_THROW(ThresholdRule(4, 0, 0), std::invalid_argument);
-  EXPECT_NO_THROW(ThresholdRule(4, 4, 0));
+  EXPECT_THROW(threshold_rule(4, 0, 0), std::invalid_argument);
+  EXPECT_NO_THROW(threshold_rule(4, 4, 0));
 }
 
 TEST(Threshold, SlackZeroGivesPerfectlyFlatLoad) {
