@@ -62,7 +62,7 @@
 /// The mutators and `load()` are defined inline here — they are the
 /// innermost statements of every protocol's hot loop, and keeping them
 /// header-visible lets the probe loops compile into one placement kernel
-/// (bench_micro_protocols measures the difference at n = 10^7).
+/// (perfbench's `rule.place_one_ns.*` layers time that kernel).
 ///
 /// Invariants (property-tested in tests/core/bin_state_test.cpp, in
 /// tests/core/bin_state_layout_test.cpp for wide-vs-compact lockstep, and

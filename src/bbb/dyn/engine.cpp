@@ -56,6 +56,18 @@ DepartSelect departure_select(const Workload& workload, const core::PlacementRul
                                      : DepartSelect::kUniformNonemptyBin;
 }
 
+/// The spec-independent domain checks both entry points run first.
+void check_run_shape(const DynConfig& config) {
+  if (config.events == 0) {
+    throw std::invalid_argument("run_dynamic: events must be positive");
+  }
+  if (config.tail_max > DynConfig::kMaxTail) {
+    throw std::invalid_argument("run_dynamic: tail " + std::to_string(config.tail_max) +
+                                " exceeds the maximum " +
+                                std::to_string(DynConfig::kMaxTail));
+  }
+}
+
 }  // namespace
 
 core::StateLayout DynConfig::resolved_layout() const {
@@ -86,9 +98,7 @@ double DynSummary::psi_per_bin() const {
 
 DynReplicate run_dynamic_replicate(const DynConfig& config,
                                    std::uint32_t replicate_index) {
-  if (config.events == 0) {
-    throw std::invalid_argument("run_dynamic: events must be positive");
-  }
+  check_run_shape(config);
   if (!config.layout) {
     DynConfig resolved = config;
     resolved.layout = config.resolved_layout();
@@ -269,9 +279,7 @@ DynSummary run_dynamic(const DynConfig& config, par::ThreadPool& pool) {
   if (config.replicates == 0) {
     throw std::invalid_argument("run_dynamic: replicates must be positive");
   }
-  if (config.events == 0) {
-    throw std::invalid_argument("run_dynamic: events must be positive");
-  }
+  check_run_shape(config);
   // Validate both specs (and capture canonical names) before spawning
   // work, and resolve the layout once: every replicate, the run_start
   // trace and the returned summary name the same one.

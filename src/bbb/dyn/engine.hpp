@@ -42,6 +42,8 @@ namespace bbb::dyn {
 
 /// One dynamic experiment: allocator x workload at fixed n, replicated.
 struct DynConfig {
+  static constexpr std::uint32_t kMaxTail = 4096;  ///< domain of tail_max
+
   std::string allocator_spec = "adaptive-net";
   std::string workload_spec = "supermarket[90]";
   std::uint32_t n = 1024;         ///< bins
@@ -57,7 +59,9 @@ struct DynConfig {
   std::uint64_t warmup = 32'768;  ///< burn-in events before measurement
   std::uint64_t events = 65'536;  ///< measured events
   std::uint64_t stride = 1'024;   ///< measured events between snapshots
-  std::uint32_t tail_max = 12;    ///< track frac(load >= k) for k <= tail_max
+  /// Track frac(load >= k) for k <= tail_max. Every event scans all
+  /// tail_max + 1 levels, so run_dynamic rejects tail_max > kMaxTail.
+  std::uint32_t tail_max = 12;
   std::uint32_t replicates = 8;
   std::uint64_t seed = 42;
   /// Observability settings. `counters` harvests the core's passive

@@ -18,6 +18,18 @@ std::string scaled100(double x) {
   return std::to_string(static_cast<std::uint64_t>(std::llround(x * 100.0)));
 }
 
+/// max_len sizes the length sampler, so it is checked in the member
+/// initialiser, before the tables are allocated.
+std::uint32_t checked_max_len(std::uint32_t max_len) {
+  if (max_len == 0) throw std::invalid_argument("ChainWorkload: max_len must be >= 1");
+  if (max_len > ChainWorkload::kMaxLen) {
+    throw std::invalid_argument("ChainWorkload: max_len " + std::to_string(max_len) +
+                                " exceeds the maximum " +
+                                std::to_string(ChainWorkload::kMaxLen));
+  }
+  return max_len;
+}
+
 }  // namespace
 
 Workload::~Workload() = default;
@@ -149,13 +161,12 @@ ChainWorkload::ChainWorkload(std::uint32_t n, double lambda, double s,
       s_(s),
       max_len_(max_len),
       atomic_(atomic),
-      lengths_(max_len == 0 ? 1 : max_len, s < 0.0 ? 0.0 : s) {
+      lengths_(checked_max_len(max_len), s < 0.0 ? 0.0 : s) {
   if (n == 0) throw std::invalid_argument("ChainWorkload: n must be positive");
   if (!(lambda > 0.0) || lambda >= 1.0) {
     throw std::invalid_argument("ChainWorkload: stability needs 0 < lambda < 1");
   }
   if (s < 0.0) throw std::invalid_argument("ChainWorkload: s must be >= 0");
-  if (max_len == 0) throw std::invalid_argument("ChainWorkload: max_len must be >= 1");
   double mean = 0.0;
   for (std::size_t i = 0; i < max_len_; ++i) {
     mean += lengths_.probability(i) * static_cast<double>(i + 1);

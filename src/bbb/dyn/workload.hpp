@@ -177,8 +177,11 @@ class BurstyWorkload final : public Workload {
 /// each chain is one whole-chain-into-one-bin decision.
 class ChainWorkload final : public Workload {
  public:
+  /// Domain of max_len: the length sampler's tables hold max_len entries.
+  static constexpr std::uint32_t kMaxLen = 65536;
+
   /// \throws std::invalid_argument unless 0 < lambda < 1, s >= 0,
-  /// max_len >= 1.
+  /// 1 <= max_len <= kMaxLen (checked before any table is built).
   ChainWorkload(std::uint32_t n, double lambda, double s, std::uint32_t max_len,
                 bool atomic = false);
   [[nodiscard]] std::string name() const override;
@@ -210,7 +213,7 @@ class ChainWorkload final : public Workload {
 ///   churn[population]              uniform victim
 ///   churn-oldest[population]       FIFO victim
 ///   bursty[on*100,off*100,switch*100]
-///   chains[lambda*100,s*100,max_len]
+///   chains[lambda*100,s*100,max_len]           1 <= max_len <= 65536
 ///   weighted:chains[lambda*100,s*100,max_len]   atomic whole-chain arrivals
 /// \throws std::invalid_argument for unknown names or malformed args
 ///         (including `weighted:` on a workload other than chains).

@@ -8,8 +8,8 @@
 
 namespace bbb::rng {
 
-/// A 64-bit uniform random word source. Both library engines
-/// (Xoshiro256PlusPlus, Pcg32) and SplitMix64 satisfy this.
+/// A 64-bit uniform random word source. The library engine
+/// (Xoshiro256PlusPlus) and SplitMix64 satisfy this.
 template <typename G>
 concept Engine64 = requires(G g) {
   { g() } -> std::convertible_to<std::uint64_t>;

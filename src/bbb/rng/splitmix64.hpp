@@ -5,7 +5,7 @@
 /// SplitMix64 (Steele, Lea, Flood 2014) advances a 64-bit counter by a fixed
 /// odd constant and scrambles it with a variant of the MurmurHash3 finalizer.
 /// It passes BigCrush on its own, but its primary role in this library is
-/// (a) seeding the larger-state engines (xoshiro256++, pcg32) so that a single
+/// (a) seeding the larger-state engine (xoshiro256++) so that a single
 /// 64-bit user seed expands into full-entropy state, and (b) deriving
 /// statistically independent child seeds for parallel replicate streams.
 

@@ -1,7 +1,7 @@
 #pragma once
 /// \file experiment.hpp
 /// Experiment configuration and per-replicate records — the vocabulary
-/// shared by the Monte-Carlo runner, the sweep helpers, and every bench.
+/// shared by the Monte-Carlo runner and every bench.
 
 #include <cstdint>
 #include <optional>

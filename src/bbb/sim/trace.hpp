@@ -8,8 +8,7 @@
 /// Since the single-streaming-core refactor every per-point metric is read
 /// off the allocator's incremental `core::BinState` in O(1) — the old
 /// implementation rescanned all n loads at every trace point, which made
-/// per-ball trajectories (stride 1) of large runs O(m n). bench_micro_state
-/// measures the difference.
+/// per-ball trajectories (stride 1) of large runs O(m n).
 
 #include <cstdint>
 #include <vector>

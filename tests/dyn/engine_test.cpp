@@ -328,5 +328,19 @@ TEST(Engine, InvalidConfigsThrow) {
   EXPECT_THROW((void)run_dynamic(cfg), std::invalid_argument);
 }
 
+TEST(Engine, TailDomainIsCapped) {
+  // Every event scans tail_max + 1 levels, so the domain is capped rather
+  // than sized by whatever the caller asks for.
+  DynConfig cfg = small_config();
+  cfg.replicates = 1;
+  cfg.tail_max = DynConfig::kMaxTail;
+  EXPECT_EQ(run_dynamic(cfg).tail.size(), std::size_t{4097});
+  for (const std::uint32_t tail : {4097u, 4294967295u}) {
+    cfg.tail_max = tail;
+    EXPECT_THROW((void)run_dynamic(cfg), std::invalid_argument) << tail;
+    EXPECT_THROW((void)run_dynamic_replicate(cfg, 0), std::invalid_argument) << tail;
+  }
+}
+
 }  // namespace
 }  // namespace bbb::dyn

@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace bbb::dyn {
 namespace {
@@ -147,6 +148,22 @@ TEST(Chains, Validation) {
   EXPECT_THROW(ChainWorkload(8, 0.0, 1.0, 4), std::invalid_argument);
   EXPECT_THROW(ChainWorkload(8, 1.0, 1.0, 4), std::invalid_argument);
   EXPECT_THROW(ChainWorkload(8, 0.5, 1.0, 0), std::invalid_argument);
+}
+
+TEST(Chains, MaxLenDomainIsCapped) {
+  // max_len sizes the length sampler's tables; the cap is checked before
+  // they are built, for both spellings.
+  for (const std::string prefix : {"", "weighted:"}) {
+    EXPECT_EQ(make_workload(prefix + "chains[50,100,65536]", 16)->name(),
+              prefix + "chains[50,100,65536]");
+    for (const char* max_len : {"65537", "4294967295"}) {
+      EXPECT_THROW((void)make_workload(prefix + "chains[50,100," + max_len + "]", 16),
+                   std::invalid_argument)
+          << prefix << max_len;
+    }
+  }
+  EXPECT_THROW(ChainWorkload(8, 0.5, 1.0, ChainWorkload::kMaxLen + 1),
+               std::invalid_argument);
 }
 
 TEST(Registry, BuildsEverySpecShape) {

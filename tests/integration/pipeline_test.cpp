@@ -1,12 +1,11 @@
-/// End-to-end pipeline tests: registry -> runner -> sweep -> table, the
-/// exact path every bench binary takes.
+/// End-to-end pipeline tests: registry -> runner -> table, the exact path
+/// every bench binary takes.
 
 #include <gtest/gtest.h>
 
 #include "bbb/core/protocols/registry.hpp"
 #include "bbb/io/table.hpp"
 #include "bbb/sim/runner.hpp"
-#include "bbb/sim/sweep.hpp"
 
 namespace bbb {
 namespace {
@@ -27,16 +26,15 @@ TEST(Pipeline, EveryProtocolRunsThroughTheRunner) {
 }
 
 TEST(Pipeline, SweepToTableRendersAllFormats) {
-  std::vector<sim::ExperimentConfig> configs;
-  for (std::uint64_t m : sim::geometric_range(256, 1024, 2.0)) {
+  std::vector<sim::RunSummary> summaries;
+  for (std::uint64_t m = 256; m <= 1024; m *= 2) {
     sim::ExperimentConfig cfg;
     cfg.protocol_spec = "adaptive";
     cfg.m = m;
     cfg.n = 64;
     cfg.replicates = 2;
-    configs.push_back(cfg);
+    summaries.push_back(sim::run_experiment(cfg));
   }
-  const auto summaries = sim::run_sweep(configs);
 
   io::Table table({"m", "probes/m", "max", "psi"});
   for (const auto& s : summaries) {

@@ -13,7 +13,7 @@
 #include "bbb/rng/streams.hpp"
 #include "bbb/stats/histogram.hpp"
 #include "bbb/stats/hypothesis.hpp"
-#include "bbb/theory/occupancy.hpp"
+#include "../support/occupancy.hpp"
 
 namespace bbb::core {
 namespace {
@@ -37,7 +37,7 @@ TEST(LoadDistribution, OneChoiceMatchesBinomialOccupancy) {
   std::vector<double> expected(kMaxCell + 1, 0.0);
   double head = 0.0;
   for (std::uint32_t k = 0; k < kMaxCell; ++k) {
-    expected[k] = theory::expected_bins_with_load(m, n, k) / static_cast<double>(n);
+    expected[k] = test::expected_bins_with_load(m, n, k) / static_cast<double>(n);
     head += expected[k];
   }
   expected[kMaxCell] = std::max(0.0, 1.0 - head);
@@ -59,7 +59,7 @@ TEST(LoadDistribution, OneChoiceEmptyBinCountMatchesTheory) {
     total_empty += static_cast<double>(empty_bins(res.loads));
   }
   const double mean_empty = total_empty / kReps;
-  EXPECT_NEAR(mean_empty, theory::expected_empty_bins(n, n),
+  EXPECT_NEAR(mean_empty, test::expected_empty_bins(n, n),
               4.0 * std::sqrt(static_cast<double>(n)));
 }
 

@@ -3,7 +3,6 @@
 #include <array>
 #include <set>
 
-#include "bbb/rng/pcg32.hpp"
 #include "bbb/rng/xoshiro256.hpp"
 
 namespace bbb::rng {
@@ -54,33 +53,6 @@ TEST(Xoshiro256, LongJumpDiffersFromJump) {
 TEST(Xoshiro256, MinMaxBounds) {
   EXPECT_EQ(Xoshiro256PlusPlus::min(), 0u);
   EXPECT_EQ(Xoshiro256PlusPlus::max(), ~std::uint64_t{0});
-}
-
-TEST(Pcg32, DeterministicForSameSeed) {
-  Pcg32 a(99, 1), b(99, 1);
-  for (int i = 0; i < 1000; ++i) EXPECT_EQ(a(), b());
-}
-
-TEST(Pcg32, StreamsAreIndependent) {
-  Pcg32 a(99, 1), b(99, 2);
-  int equal = 0;
-  for (int i = 0; i < 256; ++i) {
-    if (a() == b()) ++equal;
-  }
-  EXPECT_LE(equal, 1);
-}
-
-TEST(Pcg32, AdvanceMatchesSequentialDraws) {
-  Pcg32 a(123, 5), b(123, 5);
-  for (int i = 0; i < 137; ++i) (void)a.next_u32();
-  b.advance(137);
-  EXPECT_EQ(a.next_u32(), b.next_u32());
-}
-
-TEST(Pcg32, AdvanceZeroIsIdentity) {
-  Pcg32 a(123, 5), b(123, 5);
-  b.advance(0);
-  EXPECT_EQ(a, b);
 }
 
 }  // namespace

@@ -3,7 +3,7 @@
 #include <vector>
 
 #include "bbb/rng/engine.hpp"
-#include "bbb/rng/pcg32.hpp"
+#include "bbb/rng/splitmix64.hpp"
 #include "bbb/rng/xoshiro256.hpp"
 #include "bbb/stats/hypothesis.hpp"
 
@@ -35,8 +35,8 @@ TEST(UniformBelow, ChiSquareUniformity) {
   EXPECT_GT(res.p_value, 1e-4) << "statistic=" << res.statistic;
 }
 
-TEST(UniformBelow, WorksWithPcg32Engine) {
-  Pcg32 gen(11, 3);
+TEST(UniformBelow, WorksWithSplitMix64Engine) {
+  SplitMix64 gen(11);
   for (int i = 0; i < 1000; ++i) {
     EXPECT_LT(uniform_below(gen, 17), 17u);
   }

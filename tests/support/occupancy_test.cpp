@@ -1,4 +1,4 @@
-#include "bbb/theory/occupancy.hpp"
+#include "occupancy.hpp"
 
 #include <gtest/gtest.h>
 
@@ -8,7 +8,7 @@
 #include "bbb/model/poissonized.hpp"
 #include "bbb/rng/streams.hpp"
 
-namespace bbb::theory {
+namespace bbb::test {
 namespace {
 
 TEST(Occupancy, Validation) {
@@ -86,4 +86,4 @@ TEST(Occupancy, OverflowMassBounds) {
 }
 
 }  // namespace
-}  // namespace bbb::theory
+}  // namespace bbb::test

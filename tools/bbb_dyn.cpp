@@ -33,7 +33,9 @@ int main(int argc, char** argv) {
   args.add_flag("warmup", std::uint64_t{32768}, "burn-in events before measuring");
   args.add_flag("events", std::uint64_t{65536}, "measured events");
   args.add_flag("stride", std::uint64_t{1024}, "measured events between snapshots");
-  args.add_flag("tail", std::uint64_t{12}, "track frac(load >= k) for k <= tail");
+  args.add_flag("tail", std::uint64_t{12},
+                "track frac(load >= k) for k <= tail (at most " +
+                    std::to_string(bbb::dyn::DynConfig::kMaxTail) + ")");
   args.add_flag("reps", std::uint64_t{8}, "replicates");
   args.add_flag("seed", std::uint64_t{42}, "master seed");
   args.add_flag("threads", std::uint64_t{0}, "worker threads (0 = hardware)");

@@ -34,8 +34,15 @@ contract a past PR established and the tree now relies on:
                       backslash continuations followed) is registered by that
                       tool's add_flag or by obs/cli.cpp — so a removed
                       flag cannot linger in the docs.
+  orphan-header       Every header under src/bbb/ is included from src/,
+                      tools/, bench/, examples/ or perfbench/src/ by a file
+                      other than its own .cpp — library code whose only
+                      caller is its own test is dead weight. The one
+                      exemption is an ORPHAN_HEADER_ALLOW entry with a
+                      reason; line suppressions do not apply.
 
-Suppression: append `// bbb-lint: allow(rule-id)` to the offending line.
+Suppression (all rules but orphan-header): append
+`// bbb-lint: allow(rule-id)` to the offending line.
 Use sparingly and say why on the same line or the one above.
 
 Usage: python3 tools/bbb_lint.py [ROOT]
@@ -328,6 +335,47 @@ def check_cli_doc_flags(root):
     return violations
 
 
+# orphan-header: where a header's includer may live, how an include names
+# a library header, and the headers exempt from the rule. Each exemption
+# maps "src/bbb/<layer>/<name>.hpp" to the reason it stays; a blank
+# reason does not exempt.
+INCLUDER_DIRS = ("src", "tools", "bench", "examples", "perfbench/src")
+BBB_INCLUDE_RE = re.compile(r'^\s*#\s*include\s*[<"](bbb/[^">]+\.hpp)[">]')
+ORPHAN_HEADER_ALLOW = {}
+
+
+def check_orphan_header(root):
+    """Every src/bbb/ header has an includer outside its own pair and tests/."""
+    includers = {}  # header path -> extension-less paths of its includers
+    for top in INCLUDER_DIRS:
+        for dirpath, _dirnames, filenames in os.walk(os.path.join(root, top)):
+            for name in sorted(filenames):
+                if not name.endswith(CPP_EXTS):
+                    continue
+                path = os.path.join(dirpath, name)
+                stem = os.path.splitext(rel(root, path))[0].replace(os.sep, "/")
+                for line in read_lines(path):
+                    m = BBB_INCLUDE_RE.match(line)
+                    if m:
+                        includers.setdefault("src/" + m.group(1), set()).add(stem)
+    violations = []
+    for dirpath, _dirnames, filenames in os.walk(os.path.join(root, "src", "bbb")):
+        for name in sorted(filenames):
+            if not name.endswith(".hpp"):
+                continue
+            header = rel(root, os.path.join(dirpath, name)).replace(os.sep, "/")
+            own = header[:-len(".hpp")]
+            if includers.get(header, set()) - {own} \
+                    or ORPHAN_HEADER_ALLOW.get(header, "").strip():
+                continue
+            violations.append((header, 1, "orphan-header",
+                               "no includer outside its own .cpp and tests/ — "
+                               "delete it with its tests, or add an "
+                               "ORPHAN_HEADER_ALLOW entry with a reason in "
+                               "tools/bbb_lint.py"))
+    return violations
+
+
 RULES = (
     ("obs-boundary", check_obs_boundary),
     ("lemire-only", check_lemire_only),
@@ -335,6 +383,7 @@ RULES = (
     ("no-wild-randomness", check_no_wild_randomness),
     ("header-hygiene", check_header_hygiene),
     ("cli-doc-flags", check_cli_doc_flags),
+    ("orphan-header", check_orphan_header),
 )
 
 

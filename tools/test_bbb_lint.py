@@ -239,6 +239,42 @@ class CliDocFlags(FixtureTree):
         self.assertEqual(bbb_lint.check_cli_doc_flags(self.root), [])
 
 
+class OrphanHeader(FixtureTree):
+    HEADER = "src/bbb/theory/lens.hpp"
+    INCLUDE = '#include "bbb/theory/lens.hpp"\n'
+
+    def setUp(self):
+        super().setUp()
+        write(self.root, self.HEADER, "#pragma once\n")
+
+    def test_header_included_only_by_its_own_cpp_fires(self):
+        write(self.root, "src/bbb/theory/lens.cpp", self.INCLUDE)
+        violations = bbb_lint.check_orphan_header(self.root)
+        self.assertEqual(rules_fired(violations), ["orphan-header"])
+        self.assertEqual(violations[0][0], self.HEADER)
+
+    def test_header_included_only_by_a_test_fires(self):
+        write(self.root, "tests/theory/lens_test.cpp", self.INCLUDE)
+        violations = bbb_lint.check_orphan_header(self.root)
+        self.assertEqual(rules_fired(violations), ["orphan-header"])
+
+    def test_header_included_by_a_tool_is_clean(self):
+        write(self.root, "tools/bbb_lens.cpp", self.INCLUDE)
+        self.assertEqual(bbb_lint.check_orphan_header(self.root), [])
+
+    def test_allow_listed_header_is_clean(self):
+        allow = {self.HEADER: "kept as the reference for an upcoming tool"}
+        original = bbb_lint.ORPHAN_HEADER_ALLOW
+        bbb_lint.ORPHAN_HEADER_ALLOW = allow
+        try:
+            self.assertEqual(bbb_lint.check_orphan_header(self.root), [])
+            allow[self.HEADER] = " "  # a blank reason does not exempt
+            self.assertEqual(rules_fired(bbb_lint.check_orphan_header(self.root)),
+                             ["orphan-header"])
+        finally:
+            bbb_lint.ORPHAN_HEADER_ALLOW = original
+
+
 class MainEntry(FixtureTree):
     def test_clean_fixture_exits_zero(self):
         self.assertEqual(bbb_lint.main(["bbb_lint.py", self.root]), 0)
