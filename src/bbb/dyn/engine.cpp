@@ -5,19 +5,12 @@
 #include <stdexcept>
 
 #include "bbb/core/protocols/registry.hpp"
-#include "bbb/obs/trace_sink.hpp"
-#include "bbb/par/parallel_for.hpp"
+#include "bbb/obs/run.hpp"
 #include "bbb/rng/streams.hpp"
 
 namespace bbb::dyn {
 
 namespace {
-
-[[nodiscard]] std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point start) {
-  return static_cast<std::uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                        std::chrono::steady_clock::now() - start)
-                                        .count());
-}
 
 /// Live balls in arrival order: O(1) push, O(1) uniform victim (swap with
 /// the back), O(1) oldest victim (pop the front). Only maintained for
@@ -140,7 +133,6 @@ DynReplicate run_dynamic_replicate(const DynConfig& config,
   const bool heartbeats =
       config.obs.full_on() && config.obs.sink && config.obs.heartbeat_seconds > 0;
   obs::Heartbeat heartbeat(config.obs.heartbeat_seconds);
-  const auto wall_start = std::chrono::steady_clock::now();
 
   const std::uint64_t total_events = config.warmup + config.events;
   for (std::uint64_t e = 1; e <= total_events; ++e) {
@@ -191,7 +183,7 @@ DynReplicate run_dynamic_replicate(const DynConfig& config,
           if (track_balls) registry.push(bin);
         }
       }
-      if (timing) rep.place_ns.record(elapsed_ns(place_start));
+      if (timing) rep.place_ns.record(obs::elapsed_ns(place_start));
     } else if (ctx.balls > 0) {
       const auto remove_start = timing ? std::chrono::steady_clock::now()
                                        : std::chrono::steady_clock::time_point{};
@@ -208,7 +200,7 @@ DynReplicate run_dynamic_replicate(const DynConfig& config,
           break;
       }
       alloc->remove(bin);
-      if (timing) rep.remove_ns.record(elapsed_ns(remove_start));
+      if (timing) rep.remove_ns.record(obs::elapsed_ns(remove_start));
     } else {
       // The shipped generators never emit a departure when the system is
       // empty (that clock has rate zero); count instead of silently
@@ -270,7 +262,6 @@ DynReplicate run_dynamic_replicate(const DynConfig& config,
           : 0.0;
   if (config.obs.counters_on()) {
     rep.counters = obs::harvest(*alloc);
-    rep.wall_ns = elapsed_ns(wall_start);
   }
   return rep;
 }
@@ -290,11 +281,8 @@ DynSummary run_dynamic(const DynConfig& config, par::ThreadPool& pool) {
           ->name();
   const std::string workload_name = make_workload(run.workload_spec, run.n)->name();
 
-  const bool obs_on = config.obs.counters_on();
-  if (obs_on && config.obs.sink) {
-    obs::JsonLine line("run_start", "dyn");
-    line.begin_object("config")
-        .field("describe", run.describe())
+  const obs::RunTrace trace(config.obs, "dyn", [&](obs::JsonLine& line) {
+    line.field("describe", run.describe())
         .field("allocator", alloc_name)
         .field("workload", workload_name)
         .field("n", static_cast<std::uint64_t>(config.n))
@@ -302,10 +290,8 @@ DynSummary run_dynamic(const DynConfig& config, par::ThreadPool& pool) {
         .field("events", config.events)
         .field("replicates", static_cast<std::uint64_t>(config.replicates))
         .field("seed", config.seed)
-        .field("layout", core::to_string(*run.layout))
-        .end_object();
-    config.obs.sink->write(std::move(line));
-  }
+        .field("layout", core::to_string(*run.layout));
+  });
 
   DynSummary summary;
   summary.config = run;
@@ -313,10 +299,9 @@ DynSummary run_dynamic(const DynConfig& config, par::ThreadPool& pool) {
   summary.workload_name = workload_name;
   summary.tail.assign(static_cast<std::size_t>(config.tail_max) + 1,
                       stats::RunningStats{});
-  summary.replicates = par::parallel_map<DynReplicate>(
-      pool, config.replicates, [&run](std::uint64_t r) {
-        return run_dynamic_replicate(run, static_cast<std::uint32_t>(r));
-      });
+  summary.replicates = obs::run_replicates(
+      pool, config.replicates, config.obs,
+      [&run](std::uint32_t r) { return run_dynamic_replicate(run, r); });
 
   // Fold in replicate order: summaries are independent of scheduling.
   for (const DynReplicate& rep : summary.replicates) {
@@ -332,51 +317,29 @@ DynSummary run_dynamic(const DynConfig& config, par::ThreadPool& pool) {
     }
   }
 
-  if (obs_on) {
-    // Counters sum, per-replicate latency histograms merge losslessly —
-    // in replicate order, so the snapshot is thread-count independent.
-    obs::MetricsRegistry registry;
-    obs::CoreCounters total;
-    obs::LatencyHistogram& wall = registry.histogram("dyn.replicate.wall_ns");
-    for (const DynReplicate& rep : summary.replicates) {
-      total.accumulate(rep.counters);
-      wall.record(rep.wall_ns);
-    }
+  if (config.obs.counters_on()) {
+    summary.obs = obs::fold_replicates("dyn", summary.replicates);
     if (config.obs.full_on()) {
       // The event histograms only exist at level full; registering them
       // empty at level counters would clutter the summary table.
-      obs::LatencyHistogram& place = registry.histogram("dyn.event.place_latency_ns");
-      obs::LatencyHistogram& remove =
-          registry.histogram("dyn.event.remove_latency_ns");
       for (const DynReplicate& rep : summary.replicates) {
-        place.merge(rep.place_ns);
-        remove.merge(rep.remove_ns);
+        summary.obs.add_histogram("dyn.event.place_latency_ns", rep.place_ns);
+        summary.obs.add_histogram("dyn.event.remove_latency_ns", rep.remove_ns);
       }
     }
-    obs::fold_into(registry, total);
-    registry.add_counter("dyn.event.dropped_departures", summary.dropped_departures);
-    registry.set_gauge("dyn.gauge.gap", summary.gap.mean());
-    registry.set_gauge("dyn.gauge.psi", summary.psi.mean());
-    summary.obs = registry.snapshot();
-
-    if (config.obs.sink) {
-      for (std::uint32_t r = 0; r < summary.replicates.size(); ++r) {
-        const DynReplicate& rep = summary.replicates[r];
-        obs::JsonLine line("replicate", "dyn");
-        line.field("replicate", static_cast<std::uint64_t>(r))
-            .begin_object("metrics")
-            .field("probes", rep.counters.probes)
-            .field("mean_gap", rep.mean_gap)
-            .field("peak_max", static_cast<std::uint64_t>(rep.peak_max))
-            .field("dropped_departures", rep.dropped_departures)
-            .field("wall_ns", rep.wall_ns)
-            .end_object();
-        config.obs.sink->write(std::move(line));
-      }
-      obs::JsonLine line("summary", "dyn");
-      obs::append_metrics(line, summary.obs);
-      config.obs.sink->write(std::move(line));
-    }
+    summary.obs.add_counter("dyn.event.dropped_departures", summary.dropped_departures);
+    summary.obs.set_gauge("dyn.gauge.gap", summary.gap.mean());
+    summary.obs.set_gauge("dyn.gauge.psi", summary.psi.mean());
+    trace.finish(
+        summary.replicates,
+        [](obs::JsonLine& line, const DynReplicate& rep) {
+          line.field("probes", rep.counters.probes)
+              .field("mean_gap", rep.mean_gap)
+              .field("peak_max", static_cast<std::uint64_t>(rep.peak_max))
+              .field("dropped_departures", rep.dropped_departures)
+              .field("wall_ns", rep.wall_ns);
+        },
+        summary.obs);
   }
   return summary;
 }

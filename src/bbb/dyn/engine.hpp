@@ -113,7 +113,8 @@ struct DynReplicate {
   std::vector<DynSnapshot> snapshots;
   /// Core counters harvested after the replicate (obs level >= counters).
   obs::CoreCounters counters;
-  /// Replicate wall time (obs level >= counters).
+  /// Replicate wall time, filled by the run driver (obs/run.hpp) at obs
+  /// level >= counters; run_dynamic_replicate called directly leaves it 0.
   std::uint64_t wall_ns = 0;
   /// Per-event latency histograms over the whole replicate, filled only
   /// at obs level full: every arrival's place() / place_weighted() call
@@ -147,7 +148,8 @@ struct DynSummary {
 };
 
 /// Execute one replicate (exposed for tests and custom aggregation). An
-/// unset layout is resolved as run_dynamic resolves it.
+/// unset layout is resolved as run_dynamic resolves it. The record's
+/// wall_ns stays 0: run_dynamic's harness times each replicate.
 [[nodiscard]] DynReplicate run_dynamic_replicate(const DynConfig& config,
                                                  std::uint32_t replicate_index);
 

@@ -1,7 +1,6 @@
 #include "bbb/law/engine.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <optional>
 #include <sstream>
@@ -10,8 +9,7 @@
 #include "bbb/core/spec.hpp"
 #include "bbb/law/one_choice.hpp"
 #include "bbb/law/profile.hpp"
-#include "bbb/obs/trace_sink.hpp"
-#include "bbb/par/parallel_for.hpp"
+#include "bbb/obs/run.hpp"
 #include "bbb/rng/streams.hpp"
 #include "bbb/theory/tails.hpp"
 
@@ -152,64 +150,36 @@ LawSummary run_law_experiment(const LawConfig& config, par::ThreadPool& pool) {
   if (config.replicates == 0) {
     throw std::invalid_argument("run_law_experiment: replicates must be positive");
   }
-  const bool obs_on = config.obs.counters_on();
-  if (obs_on && config.obs.sink) {
-    obs::JsonLine line("run_start", "law");
-    line.begin_object("config")
-        .field("describe", config.describe())
+  const obs::RunTrace trace(config.obs, "law", [&](obs::JsonLine& line) {
+    line.field("describe", config.describe())
         .field("protocol", summary.protocol_name)
         .field("m", config.m)
         .field("n", config.n)
         .field("replicates", static_cast<std::uint64_t>(config.replicates))
-        .field("seed", config.seed)
-        .end_object();
-    config.obs.sink->write(std::move(line));
-  }
-  // Replicates sample on the pool; the fold below runs in replicate
-  // order, so the summary is identical for any thread count.
+        .field("seed", config.seed);
+  });
+  // One sampled profile per replicate: the wall time of the
+  // Poissonize-and-correct sampler is the law tier's whole cost.
   struct Draw {
     std::optional<OccupancyProfile> profile;
     std::uint64_t wall_ns = 0;
   };
-  const std::vector<Draw> draws = par::parallel_map<Draw>(
-      pool, config.replicates, [&config](std::uint64_t r) {
-        const auto start = std::chrono::steady_clock::now();
+  const std::vector<Draw> draws =
+      obs::run_replicates(pool, config.replicates, config.obs, [&config](std::uint32_t r) {
         rng::Engine gen = rng::SeedSequence(config.seed).engine(r);
-        Draw draw;
-        draw.profile = sample_one_choice_profile(config.m, config.n, gen);
-        draw.wall_ns = static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - start)
-                .count());
-        return draw;
+        return Draw{sample_one_choice_profile(config.m, config.n, gen)};
       });
-  obs::MetricsRegistry registry;
-  for (std::uint32_t r = 0; r < config.replicates; ++r) {
-    const OccupancyProfile& profile = *draws[r].profile;
-    fold_profile(profile, summary);
-    if (obs_on) {
-      // One sampled profile per replicate — the wall time of the
-      // Poissonize-and-correct sampler is the law tier's whole cost.
-      registry.histogram("law.replicate.wall_ns").record(draws[r].wall_ns);
-      if (config.obs.sink) {
-        obs::JsonLine line("replicate", "law");
-        line.field("replicate", static_cast<std::uint64_t>(r))
-            .begin_object("metrics")
-            .field("max_load", static_cast<std::uint64_t>(profile.max_load()))
-            .field("gap", static_cast<std::uint64_t>(profile.gap()))
-            .field("wall_ns", draws[r].wall_ns)
-            .end_object();
-        config.obs.sink->write(std::move(line));
-      }
-    }
-  }
-  if (obs_on) {
-    summary.obs = registry.snapshot();
-    if (config.obs.sink) {
-      obs::JsonLine line("summary", "law");
-      obs::append_metrics(line, summary.obs);
-      config.obs.sink->write(std::move(line));
-    }
+  for (const Draw& draw : draws) fold_profile(*draw.profile, summary);
+  if (config.obs.counters_on()) {
+    summary.obs = obs::fold_replicates("law", draws);
+    trace.finish(
+        draws,
+        [](obs::JsonLine& line, const Draw& draw) {
+          line.field("max_load", static_cast<std::uint64_t>(draw.profile->max_load()))
+              .field("gap", static_cast<std::uint64_t>(draw.profile->gap()))
+              .field("wall_ns", draw.wall_ns);
+        },
+        summary.obs);
   }
   return summary;
 }

@@ -55,57 +55,57 @@ CoreCounters harvest(const core::PlacementRule& rule, const core::BinState* stat
   return c;
 }
 
-void fold_into(MetricsRegistry& registry, const CoreCounters& counters) {
-  registry.add_counter("core.probe.count", counters.probes);
-  registry.add_counter("core.ball.placed", counters.balls_placed);
+void fold_into(Snapshot& snapshot, const CoreCounters& counters) {
+  snapshot.add_counter("core.probe.count", counters.probes);
+  snapshot.add_counter("core.ball.placed", counters.balls_placed);
   if (counters.reallocations != 0) {
-    registry.add_counter("core.rule.reallocations", counters.reallocations);
+    snapshot.add_counter("core.rule.reallocations", counters.reallocations);
   }
   if (counters.rounds != 0) {
-    registry.add_counter("core.rule.rounds", counters.rounds);
+    snapshot.add_counter("core.rule.rounds", counters.rounds);
   }
   if (counters.lookahead_refills != 0) {
-    registry.add_counter("core.lookahead.refills", counters.lookahead_refills);
+    snapshot.add_counter("core.lookahead.refills", counters.lookahead_refills);
   }
   if (counters.lookahead_discarded_words != 0) {
-    registry.add_counter("core.lookahead.discarded_words",
+    snapshot.add_counter("core.lookahead.discarded_words",
                          counters.lookahead_discarded_words);
   }
   if (counters.compact_promotions != 0) {
-    registry.add_counter("state.compact.promotions", counters.compact_promotions);
+    snapshot.add_counter("state.compact.promotions", counters.compact_promotions);
   }
   if (counters.compact_demotions != 0) {
-    registry.add_counter("state.compact.demotions", counters.compact_demotions);
+    snapshot.add_counter("state.compact.demotions", counters.compact_demotions);
   }
   if (counters.explode_fallbacks != 0) {
-    registry.add_counter("core.weighted.explode_fallbacks",
+    snapshot.add_counter("core.weighted.explode_fallbacks",
                          counters.explode_fallbacks);
   }
   if (counters.batch_batches != 0) {
-    registry.add_counter("core.batch.batches", counters.batch_batches);
-    registry.add_counter("core.batch.waves", counters.batch_waves);
-    registry.add_counter("core.batch.fast_balls", counters.batch_fast_balls);
-    registry.add_counter("core.batch.fallback_balls",
+    snapshot.add_counter("core.batch.batches", counters.batch_batches);
+    snapshot.add_counter("core.batch.waves", counters.batch_waves);
+    snapshot.add_counter("core.batch.fast_balls", counters.batch_fast_balls);
+    snapshot.add_counter("core.batch.fallback_balls",
                          counters.batch_fallback_balls);
-    registry.add_counter("core.batch.exact_balls", counters.batch_exact_balls);
+    snapshot.add_counter("core.batch.exact_balls", counters.batch_exact_balls);
   }
   if (counters.hugepage_bytes != 0) {
-    registry.add_counter("core.state.hugepage_bytes", counters.hugepage_bytes);
+    snapshot.add_counter("core.state.hugepage_bytes", counters.hugepage_bytes);
   }
 }
 
-void fold_into(MetricsRegistry& registry, const shard::ShardCounters& counters) {
+void fold_into(Snapshot& snapshot, const shard::ShardCounters& counters) {
   if (counters.messages == 0 && counters.rounds == 0) return;
   if (counters.rounds != 0) {
-    registry.add_counter("shard.sync_rounds", counters.rounds);
+    snapshot.add_counter("shard.sync_rounds", counters.rounds);
   }
   if (counters.cross_shard_probes != 0) {
-    registry.add_counter("shard.probe.cross_shard", counters.cross_shard_probes);
+    snapshot.add_counter("shard.probe.cross_shard", counters.cross_shard_probes);
   }
   if (counters.deferred_balls != 0) {
-    registry.add_counter("shard.ball.deferred", counters.deferred_balls);
+    snapshot.add_counter("shard.ball.deferred", counters.deferred_balls);
   }
-  registry.add_counter("shard.message.count", counters.messages);
+  snapshot.add_counter("shard.message.count", counters.messages);
 }
 
 }  // namespace bbb::obs

@@ -5,7 +5,7 @@
 /// in code that is already cold (side-table touches, lookahead refills,
 /// explode fallbacks) or already counted (probes). After the work, a
 /// driver *harvests* those integers into a `CoreCounters` struct and
-/// folds it into a MetricsRegistry under the canonical dotted names.
+/// folds it into the run's Snapshot under the canonical dotted names.
 /// Post-hoc harvesting is what makes `--obs=counters` free on the per-ball
 /// path: reading nine integers once per replicate.
 ///
@@ -77,16 +77,16 @@ struct CoreCounters {
 [[nodiscard]] CoreCounters harvest(const core::PlacementRule& rule,
                                    const core::BinState* state);
 
-/// Fold into `registry` under the canonical names above. Zero-valued
+/// Fold into `snapshot` under the canonical names above. Zero-valued
 /// counters with no possible source are still registered when their
 /// machinery was in play (probes/placed always; the rest only when
 /// nonzero) so summaries stay compact.
-void fold_into(MetricsRegistry& registry, const CoreCounters& counters);
+void fold_into(Snapshot& snapshot, const CoreCounters& counters);
 
 /// Fold a sharded run's aggregated counters under the shard.* names above.
 /// Registered only when the multi-shard round protocol actually ran
 /// (messages or rounds nonzero), so unsharded and shards[1] summaries stay
 /// free of shard rows; all are summed counters.
-void fold_into(MetricsRegistry& registry, const shard::ShardCounters& counters);
+void fold_into(Snapshot& snapshot, const shard::ShardCounters& counters);
 
 }  // namespace bbb::obs

@@ -1,14 +1,24 @@
 #include "bbb/obs/metrics.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace bbb::obs {
 
-const SnapshotEntry* Snapshot::find(std::string_view name) const noexcept {
-  // entries is name-sorted (snapshot() walks sorted maps; merge keeps order).
-  const auto it = std::lower_bound(
+namespace {
+
+/// First entry whose name is not below `name` (entries are name-sorted).
+template <class Entries>
+auto lower_bound_by_name(Entries& entries, std::string_view name) {
+  return std::lower_bound(
       entries.begin(), entries.end(), name,
       [](const SnapshotEntry& e, std::string_view key) { return e.name < key; });
+}
+
+}  // namespace
+
+const SnapshotEntry* Snapshot::find(std::string_view name) const noexcept {
+  const auto it = lower_bound_by_name(entries, name);
   if (it == entries.end() || it->name != name) return nullptr;
   return &*it;
 }
@@ -19,122 +29,47 @@ std::uint64_t Snapshot::counter_value(std::string_view name) const noexcept {
   return entry->counter;
 }
 
-void Snapshot::merge(const Snapshot& other) {
-  std::vector<SnapshotEntry> merged;
-  merged.reserve(entries.size() + other.entries.size());
-  auto a = entries.begin();
-  auto b = other.entries.begin();
-  while (a != entries.end() || b != other.entries.end()) {
-    if (b == other.entries.end() || (a != entries.end() && a->name < b->name)) {
-      merged.push_back(std::move(*a++));
-    } else if (a == entries.end() || b->name < a->name) {
-      merged.push_back(*b++);
-    } else {
-      SnapshotEntry entry = std::move(*a++);
-      switch (entry.kind) {
-        case SnapshotEntry::Kind::kCounter:
-          entry.counter += b->counter;
-          break;
-        case SnapshotEntry::Kind::kGauge:
-          entry.gauge = b->gauge;
-          break;
-        case SnapshotEntry::Kind::kHistogram:
-          entry.histogram.merge(b->histogram);
-          break;
-      }
-      merged.push_back(std::move(entry));
-      ++b;
-    }
-  }
-  entries = std::move(merged);
-}
-
-Counter& MetricsRegistry::counter(std::string_view name) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  auto it = counters_.find(name);
-  if (it == counters_.end()) {
-    it = counters_.emplace(std::string(name), std::make_unique<Counter>()).first;
-  }
-  return *it->second;
-}
-
-Gauge& MetricsRegistry::gauge(std::string_view name) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  auto it = gauges_.find(name);
-  if (it == gauges_.end()) {
-    it = gauges_.emplace(std::string(name), std::make_unique<Gauge>()).first;
-  }
-  return *it->second;
-}
-
-LatencyHistogram& MetricsRegistry::histogram(std::string_view name) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  auto it = histograms_.find(name);
-  if (it == histograms_.end()) {
-    it = histograms_.emplace(std::string(name), std::make_unique<LatencyHistogram>())
-             .first;
-  }
-  return *it->second;
-}
-
-void MetricsRegistry::add_counter(std::string_view name, std::uint64_t n) {
-  counter(name).add(n);
-}
-
-void MetricsRegistry::set_gauge(std::string_view name, double v) { gauge(name).set(v); }
-
-void MetricsRegistry::merge_histogram(std::string_view name,
-                                      const LatencyHistogram& h) {
-  histogram(name).merge(h);
-}
-
-Snapshot MetricsRegistry::snapshot() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  Snapshot snap;
-  snap.entries.reserve(counters_.size() + gauges_.size() + histograms_.size());
-  // The three maps are interleaved into one name-sorted entry list.
-  auto c = counters_.begin();
-  auto g = gauges_.begin();
-  auto h = histograms_.begin();
-  while (c != counters_.end() || g != gauges_.end() || h != histograms_.end()) {
-    // Pick the lexicographically smallest head among the three maps.
-    const std::string* best = nullptr;
-    int which = -1;
-    if (c != counters_.end()) {
-      best = &c->first;
-      which = 0;
-    }
-    if (g != gauges_.end() && (best == nullptr || g->first < *best)) {
-      best = &g->first;
-      which = 1;
-    }
-    if (h != histograms_.end() && (best == nullptr || h->first < *best)) {
-      which = 2;
-    }
+SnapshotEntry& Snapshot::slot(std::string_view name, SnapshotEntry::Kind kind) {
+  auto it = lower_bound_by_name(entries, name);
+  if (it == entries.end() || it->name != name) {
     SnapshotEntry entry;
-    switch (which) {
-      case 0:
-        entry.name = c->first;
-        entry.kind = SnapshotEntry::Kind::kCounter;
-        entry.counter = c->second->value();
-        ++c;
+    entry.name = std::string(name);
+    entry.kind = kind;
+    return *entries.insert(it, std::move(entry));
+  }
+  if (it->kind != kind) {
+    throw std::logic_error("Snapshot: metric '" + std::string(name) +
+                           "' already exists with another kind");
+  }
+  return *it;
+}
+
+void Snapshot::add_counter(std::string_view name, std::uint64_t n) {
+  slot(name, SnapshotEntry::Kind::kCounter).counter += n;
+}
+
+void Snapshot::set_gauge(std::string_view name, double v) {
+  slot(name, SnapshotEntry::Kind::kGauge).gauge = v;
+}
+
+void Snapshot::add_histogram(std::string_view name, const LatencyHistogram& h) {
+  slot(name, SnapshotEntry::Kind::kHistogram).histogram.merge(h);
+}
+
+void Snapshot::merge(const Snapshot& other) {
+  for (const SnapshotEntry& e : other.entries) {
+    switch (e.kind) {
+      case SnapshotEntry::Kind::kCounter:
+        add_counter(e.name, e.counter);
         break;
-      case 1:
-        entry.name = g->first;
-        entry.kind = SnapshotEntry::Kind::kGauge;
-        entry.gauge = g->second->value();
-        ++g;
+      case SnapshotEntry::Kind::kGauge:
+        set_gauge(e.name, e.gauge);
         break;
-      default:
-        entry.name = h->first;
-        entry.kind = SnapshotEntry::Kind::kHistogram;
-        entry.histogram = *h->second;
-        ++h;
+      case SnapshotEntry::Kind::kHistogram:
+        add_histogram(e.name, e.histogram);
         break;
     }
-    snap.entries.push_back(std::move(entry));
   }
-  return snap;
 }
 
 }  // namespace bbb::obs

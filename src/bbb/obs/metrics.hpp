@@ -1,32 +1,18 @@
 #pragma once
 /// \file metrics.hpp
-/// The in-memory metric store: cache-line-padded `Counter` / `Gauge`
-/// atoms, a `MetricsRegistry` keyed by hierarchical dotted names
-/// ("core.probe.count", "dyn.event.place_latency_ns"), and the immutable
-/// `Snapshot` the drivers hand to CLIs, trace sinks, and summaries.
+/// The one metric type: a name-sorted `Snapshot` of counters, gauges and
+/// latency histograms under hierarchical dotted names
+/// ("core.probe.count", "dyn.event.place_latency_ns"), the value the
+/// drivers hand to CLIs, trace sinks, and summaries.
 ///
-/// Cost model. Metric objects are created through the registry (mutex,
-/// name lookup) once per run — never per ball or per event. Updates on an
-/// obtained reference are single relaxed atomic RMWs with no false
-/// sharing (each atom owns its cache line, sized for the sharded
-/// multi-core tier where worker threads will bump disjoint counters).
-/// The hot streaming loop does not touch even that: the core keeps plain
-/// integer counters in already-cold code and the drivers *fold* them into
-/// the registry after the work (see harvest.hpp), so `--obs=off` runs the
-/// byte-identical loop of PRs 1-6.
-///
-/// Tokenless no-op handles. `CounterHandle` / `GaugeHandle` /
-/// `HistogramHandle` wrap a nullable pointer: a disabled handle is the
-/// null state, and `add()` / `set()` / `record()` on it are empty inlined
-/// bodies — no virtual dispatch, no branch on a config struct, nothing
-/// for the optimizer to keep. Layers that want optional instrumentation
-/// accept a handle by value and call it unconditionally.
+/// Cost model. A Snapshot is built once per run, on one thread, after the
+/// work: the streaming core keeps plain integer counters in already-cold
+/// code, and the drivers fold them in after the replicates have joined
+/// (see harvest.hpp and run.hpp). Nothing here runs per ball or per
+/// event, so a Snapshot carries no lock and no atomic, and `--obs=off`
+/// runs the uninstrumented loop.
 
-#include <atomic>
 #include <cstdint>
-#include <map>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -35,81 +21,9 @@
 
 namespace bbb::obs {
 
-/// Monotone event counter. Relaxed atomics: totals are exact, ordering
-/// against other metrics is not promised (snapshots are taken quiescent).
-class alignas(64) Counter {
- public:
-  void add(std::uint64_t n) noexcept { value_.fetch_add(n, std::memory_order_relaxed); }
-  void increment() noexcept { add(1); }
-  [[nodiscard]] std::uint64_t value() const noexcept {
-    return value_.load(std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<std::uint64_t> value_{0};
-};
-
-/// Sampled instantaneous value (gap, Ψ, fold wall time). Last write wins.
-class alignas(64) Gauge {
- public:
-  void set(double v) noexcept { value_.store(v, std::memory_order_relaxed); }
-  [[nodiscard]] double value() const noexcept {
-    return value_.load(std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<double> value_{0.0};
-};
-
-/// No-op-capable counter reference. Null handle = disabled = empty body.
-class CounterHandle {
- public:
-  CounterHandle() = default;
-  explicit CounterHandle(Counter* counter) noexcept : counter_(counter) {}
-  void add(std::uint64_t n) noexcept {
-    if (counter_ != nullptr) counter_->add(n);
-  }
-  void increment() noexcept { add(1); }
-  [[nodiscard]] bool enabled() const noexcept { return counter_ != nullptr; }
-
- private:
-  Counter* counter_ = nullptr;
-};
-
-/// No-op-capable gauge reference.
-class GaugeHandle {
- public:
-  GaugeHandle() = default;
-  explicit GaugeHandle(Gauge* gauge) noexcept : gauge_(gauge) {}
-  void set(double v) noexcept {
-    if (gauge_ != nullptr) gauge_->set(v);
-  }
-  [[nodiscard]] bool enabled() const noexcept { return gauge_ != nullptr; }
-
- private:
-  Gauge* gauge_ = nullptr;
-};
-
-/// No-op-capable histogram reference. Histogram recording is NOT atomic —
-/// a handle must only be used from one thread at a time (per-replicate
-/// histograms are merged by the driver, matching the fold discipline).
-class HistogramHandle {
- public:
-  HistogramHandle() = default;
-  explicit HistogramHandle(LatencyHistogram* histogram) noexcept
-      : histogram_(histogram) {}
-  void record(std::uint64_t v) noexcept {
-    if (histogram_ != nullptr) histogram_->record(v);
-  }
-  [[nodiscard]] bool enabled() const noexcept { return histogram_ != nullptr; }
-
- private:
-  LatencyHistogram* histogram_ = nullptr;
-};
-
 /// One metric in a Snapshot. Exactly one of the three payloads is live,
 /// selected by `kind` (a tagged struct keeps the JSON/table writers
-/// trivial; the registry is small so the slack is irrelevant).
+/// trivial; snapshots are small so the slack is irrelevant).
 struct SnapshotEntry {
   enum class Kind : std::uint8_t { kCounter, kGauge, kHistogram };
 
@@ -122,8 +36,9 @@ struct SnapshotEntry {
   LatencyHistogram histogram;
 };
 
-/// Immutable, name-sorted copy of a registry's state. Value type: cheap
-/// to return from run_* entry points and embed in summaries.
+/// Name-sorted metric values. Value type: cheap to return from run_*
+/// entry points and embed in summaries. A name keeps the kind it was
+/// first folded in with.
 struct Snapshot {
   std::vector<SnapshotEntry> entries;
 
@@ -133,42 +48,24 @@ struct Snapshot {
   /// Convenience: counter value by name, 0 when absent.
   [[nodiscard]] std::uint64_t counter_value(std::string_view name) const noexcept;
 
-  /// Fold `other` in: counters add, gauges take the other's value (it is
-  /// the later sample), histograms merge losslessly. Names union.
-  void merge(const Snapshot& other);
-};
-
-/// Owner of all metrics for one run. Names are hierarchical dotted paths;
-/// the first obtainer creates the metric, later obtainers share it.
-/// Obtaining is mutex-guarded (do it once, outside loops); updating the
-/// returned references is lock-free.
-class MetricsRegistry {
- public:
-  MetricsRegistry() = default;
-  MetricsRegistry(const MetricsRegistry&) = delete;
-  MetricsRegistry& operator=(const MetricsRegistry&) = delete;
-
-  /// Find-or-create. References stay valid for the registry's lifetime
-  /// (metrics are never removed).
-  [[nodiscard]] Counter& counter(std::string_view name);
-  [[nodiscard]] Gauge& gauge(std::string_view name);
-  [[nodiscard]] LatencyHistogram& histogram(std::string_view name);
-
-  /// One-shot fold helpers for post-run harvesting.
+  /// Add `n` to counter `name` (created at 0).
+  /// \throws std::logic_error if `name` is a gauge or a histogram.
   void add_counter(std::string_view name, std::uint64_t n);
+  /// Set gauge `name` to `v`; the last write wins.
+  /// \throws std::logic_error if `name` is a counter or a histogram.
   void set_gauge(std::string_view name, double v);
-  void merge_histogram(std::string_view name, const LatencyHistogram& h);
+  /// Merge `h` into histogram `name` (created empty), losslessly.
+  /// \throws std::logic_error if `name` is a counter or a gauge.
+  void add_histogram(std::string_view name, const LatencyHistogram& h);
 
-  /// Name-sorted copy of the current state.
-  [[nodiscard]] Snapshot snapshot() const;
+  /// Fold `other` in through the three folds above: counters add, gauges
+  /// take the other's value (it is the later sample), histograms merge.
+  /// Names union.
+  void merge(const Snapshot& other);
 
  private:
-  mutable std::mutex mutex_;
-  // unique_ptr cells: atomics are not movable, and handed-out references
-  // must survive map rehash/rebalance.
-  std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
-  std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
-  std::map<std::string, std::unique_ptr<LatencyHistogram>, std::less<>> histograms_;
+  /// The entry named `name`, inserted in name order when absent.
+  SnapshotEntry& slot(std::string_view name, SnapshotEntry::Kind kind);
 };
 
 }  // namespace bbb::obs

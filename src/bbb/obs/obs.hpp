@@ -15,8 +15,8 @@
 ///     placements are byte-identical because observation never draws from
 ///     an rng::Engine.
 ///   * `kCounters` harvests those passive counters after the work is done
-///     (per replicate / per case) and folds them into a MetricsRegistry
-///     snapshot — still nothing on the per-ball path.
+///     (per replicate / per case) and folds them into the run's Snapshot
+///     — still nothing on the per-ball path.
 ///   * `kFull` additionally times individual events where a latency
 ///     distribution exists (the dyn engine's place/remove) and emits
 ///     periodic heartbeat snapshots; the only new per-event cost is two

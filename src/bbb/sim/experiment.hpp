@@ -68,7 +68,8 @@ struct ReplicateRecord {
   /// entries), aggregated over the replicate's shards — populated under
   /// the same condition, and only for `shards[t]:` specs.
   shard::ShardCounters shard_counters;
-  /// Replicate wall time; populated under the same condition.
+  /// Replicate wall time, filled by the run driver (obs/run.hpp) under the
+  /// same condition; run_replicate called directly leaves it 0.
   std::uint64_t wall_ns = 0;
 };
 

@@ -5,22 +5,11 @@
 
 #include "bbb/core/protocols/registry.hpp"
 #include "bbb/core/spec.hpp"
-#include "bbb/obs/trace_sink.hpp"
-#include "bbb/par/parallel_for.hpp"
+#include "bbb/obs/run.hpp"
 #include "bbb/rng/streams.hpp"
 #include "bbb/shard/engine.hpp"
 
 namespace bbb::sim {
-
-namespace {
-
-[[nodiscard]] std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point start) {
-  return static_cast<std::uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                        std::chrono::steady_clock::now() - start)
-                                        .count());
-}
-
-}  // namespace
 
 double RunSummary::probes_per_ball() const {
   return config.m > 0 ? probes.mean() / static_cast<double>(config.m) : 0.0;
@@ -35,7 +24,6 @@ namespace {
 /// n = 2^30 fits in ~1 GiB.
 ReplicateRecord run_streaming_replicate(const ExperimentConfig& config,
                                         std::uint32_t replicate_index) {
-  const auto start = std::chrono::steady_clock::now();
   const auto alloc = core::make_streaming_allocator(config.protocol_spec, config.n,
                                                     config.m, *config.layout);
   rng::Engine gen = rng::SeedSequence(config.seed).engine(replicate_index);
@@ -72,7 +60,6 @@ ReplicateRecord run_streaming_replicate(const ExperimentConfig& config,
   rec.log_phi = state.log_phi();
   if (config.obs.counters_on()) {
     rec.counters = obs::harvest(*alloc);
-    rec.wall_ns = elapsed_ns(start);
   }
   return rec;
 }
@@ -88,7 +75,6 @@ ReplicateRecord run_sharded_replicate(const ExperimentConfig& config,
                                       std::uint32_t shards,
                                       const std::string& inner_spec,
                                       std::uint32_t replicate_index) {
-  const auto start = std::chrono::steady_clock::now();
   shard::ShardOptions opt;
   opt.shards = shards;
   opt.layout = *config.layout;
@@ -120,7 +106,6 @@ ReplicateRecord run_sharded_replicate(const ExperimentConfig& config,
       rec.counters.rounds = engine.sync_rounds();
     }
     rec.shard_counters = engine.counters();
-    rec.wall_ns = elapsed_ns(start);
   }
   return rec;
 }
@@ -154,29 +139,22 @@ RunSummary run_experiment(const ExperimentConfig& config, par::ThreadPool& pool)
   ExperimentConfig run = config;
   run.layout = config.resolved_layout();
 
-  const bool obs_on = config.obs.counters_on();
-  if (obs_on && config.obs.sink) {
-    obs::JsonLine line("run_start", "sim");
-    line.begin_object("config")
-        .field("describe", run.describe())
+  const obs::RunTrace trace(config.obs, "sim", [&](obs::JsonLine& line) {
+    line.field("describe", run.describe())
         .field("protocol", canonical)
         .field("m", config.m)
         .field("n", static_cast<std::uint64_t>(config.n))
         .field("replicates", static_cast<std::uint64_t>(config.replicates))
         .field("seed", config.seed)
-        .field("layout", core::to_string(*run.layout))
-        .end_object();
-    config.obs.sink->write(std::move(line));
-  }
+        .field("layout", core::to_string(*run.layout));
+  });
 
   RunSummary summary;
   summary.config = run;
   summary.protocol_name = canonical;
-  summary.records = par::parallel_map<ReplicateRecord>(
-      pool, config.replicates,
-      [&run](std::uint64_t r) {
-        return run_replicate(run, static_cast<std::uint32_t>(r));
-      });
+  summary.records = obs::run_replicates(
+      pool, config.replicates, config.obs,
+      [&run](std::uint32_t r) { return run_replicate(run, r); });
 
   // Fold in replicate order: summaries are independent of scheduling.
   const auto fold_start = std::chrono::steady_clock::now();
@@ -191,44 +169,24 @@ RunSummary run_experiment(const ExperimentConfig& config, par::ThreadPool& pool)
     summary.rounds.add(rec.rounds);
     if (!rec.completed) ++summary.failures;
   }
-  const std::uint64_t fold_ns = elapsed_ns(fold_start);
+  const std::uint64_t fold_ns = obs::elapsed_ns(fold_start);
 
-  if (obs_on) {
-    // Counters sum, wall times merge into one histogram — all in
-    // replicate order, so the snapshot (like every folded statistic) is
-    // identical for any thread count.
-    obs::MetricsRegistry registry;
-    obs::CoreCounters total;
+  if (config.obs.counters_on()) {
+    summary.obs = obs::fold_replicates("sim", summary.records);
     shard::ShardCounters shard_total;
-    obs::LatencyHistogram& wall = registry.histogram("sim.replicate.wall_ns");
-    for (const ReplicateRecord& rec : summary.records) {
-      total.accumulate(rec.counters);
-      shard_total += rec.shard_counters;
-      wall.record(rec.wall_ns);
-    }
-    obs::fold_into(registry, total);
-    obs::fold_into(registry, shard_total);
-    registry.set_gauge("sim.fold.wall_ns", static_cast<double>(fold_ns));
-    summary.obs = registry.snapshot();
-
-    if (config.obs.sink) {
-      for (std::uint32_t r = 0; r < summary.records.size(); ++r) {
-        const ReplicateRecord& rec = summary.records[r];
-        obs::JsonLine line("replicate", "sim");
-        line.field("replicate", static_cast<std::uint64_t>(r))
-            .begin_object("metrics")
-            .field("probes", rec.counters.probes)
-            .field("max_load", rec.max_load)
-            .field("gap", rec.gap)
-            .field("wall_ns", rec.wall_ns)
-            .field("completed", rec.completed)
-            .end_object();
-        config.obs.sink->write(std::move(line));
-      }
-      obs::JsonLine line("summary", "sim");
-      obs::append_metrics(line, summary.obs);
-      config.obs.sink->write(std::move(line));
-    }
+    for (const ReplicateRecord& rec : summary.records) shard_total += rec.shard_counters;
+    obs::fold_into(summary.obs, shard_total);
+    summary.obs.set_gauge("sim.fold.wall_ns", static_cast<double>(fold_ns));
+    trace.finish(
+        summary.records,
+        [](obs::JsonLine& line, const ReplicateRecord& rec) {
+          line.field("probes", rec.counters.probes)
+              .field("max_load", rec.max_load)
+              .field("gap", rec.gap)
+              .field("wall_ns", rec.wall_ns)
+              .field("completed", rec.completed);
+        },
+        summary.obs);
   }
 
   if (!config.keep_records) {

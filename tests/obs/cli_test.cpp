@@ -98,9 +98,9 @@ TEST(ObsCli, PrintSummarySkipsEmptySnapshot) {
   print_summary(Snapshot{}, f);
   EXPECT_EQ(std::ftell(f), 0);
 
-  MetricsRegistry reg;
-  reg.add_counter("core.probe.count", 9);
-  print_summary(reg.snapshot(), f);
+  Snapshot snap;
+  snap.add_counter("core.probe.count", 9);
+  print_summary(snap, f);
   EXPECT_GT(std::ftell(f), 0);
   std::fclose(f);
   std::remove(path.c_str());

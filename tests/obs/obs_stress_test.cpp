@@ -1,22 +1,21 @@
 /// ThreadSanitizer stress suite for the obs layer (`ctest -L tsan`).
 ///
-/// Run under `BBB_TSAN=ON` these tests exercise the contracts the
-/// metrics/trace machinery promises to the future sharded tier:
-/// MetricsRegistry find-or-create and lock-free updates from 8 writer
-/// threads, per-thread Snapshot building merged after the join barrier,
-/// and TraceSink writers interleaving with a records_written() poller.
+/// Run under `BBB_TSAN=ON` these tests exercise the two places where obs
+/// state meets more than one thread: per-thread Snapshots built on
+/// workers and merged after the join barrier (what every driver's
+/// replicate fold relies on), and TraceSink writers interleaving with a
+/// records_written() poller.
 ///
-/// The poller test is the PR 9 regression pin: `TraceSink::seq_` used to
+/// The poller test is a regression pin: `TraceSink::seq_` used to
 /// be a plain uint64 incremented under the sink mutex but read *without*
 /// it by records_written() — a genuine C++ data race (TSan: "data race on
-/// seq_"), fixed by making seq_ atomic. Everything else in this layer
-/// came back clean under TSan: Counter/Gauge are relaxed atomics,
-/// registry maps are mutex-guarded, and histograms follow the documented
-/// one-writer-then-merge fold discipline.
+/// seq_"), fixed by making seq_ atomic. It is the one atomic the obs
+/// layer keeps: a Snapshot is a plain value built by one thread, and
+/// histograms follow the documented one-writer-then-merge fold
+/// discipline.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -37,44 +36,10 @@ std::string temp_path(const char* stem) {
   return ::testing::TempDir() + stem;
 }
 
-// 8 threads race find-or-create on one shared name, one per-thread name,
-// and updates on both: totals must come out exact and the registry maps
-// must never tear.
-TEST(ObsTsanStress, RegistryFindOrCreateAndCountUnderWriters) {
-  constexpr std::uint64_t kOpsPerWriter = 20000;
-  MetricsRegistry registry;
-
-  std::vector<std::thread> writers;
-  writers.reserve(kWriters);
-  for (int w = 0; w < kWriters; ++w) {
-    writers.emplace_back([&registry, w] {
-      // find-or-create inside the loop on purpose: the mutex-guarded map
-      // lookup path is what the stress is aimed at (hot code obtains
-      // once, but the contract must hold either way).
-      for (std::uint64_t i = 0; i < kOpsPerWriter; ++i) {
-        registry.counter("stress.shared").increment();
-        registry.counter("stress.writer." + std::to_string(w)).increment();
-        registry.gauge("stress.gauge").set(static_cast<double>(i));
-      }
-    });
-  }
-  for (auto& t : writers) t.join();
-
-  const Snapshot snap = registry.snapshot();
-  EXPECT_EQ(snap.counter_value("stress.shared"), kWriters * kOpsPerWriter);
-  for (int w = 0; w < kWriters; ++w) {
-    EXPECT_EQ(snap.counter_value("stress.writer." + std::to_string(w)),
-              kOpsPerWriter);
-  }
-  const SnapshotEntry* gauge = snap.find("stress.gauge");
-  ASSERT_NE(gauge, nullptr);
-  EXPECT_EQ(gauge->gauge, static_cast<double>(kOpsPerWriter - 1));
-}
-
-// The fold discipline end to end: each thread owns its registry (and its
-// histograms — they are documented single-writer), snapshots it, and the
-// main thread merges all snapshots after join. The merged result must be
-// exact and independent of merge order pairing with thread scheduling.
+// The fold discipline end to end: each thread owns its Snapshot (and its
+// histogram — they are documented single-writer), and the main thread
+// merges all snapshots after join. The merged result must be exact and
+// independent of merge order pairing with thread scheduling.
 TEST(ObsTsanStress, PerThreadSnapshotsMergeExactlyAfterJoin) {
   constexpr std::uint64_t kRecordsPerWriter = 5000;
   std::vector<Snapshot> snapshots(kWriters);
@@ -83,14 +48,12 @@ TEST(ObsTsanStress, PerThreadSnapshotsMergeExactlyAfterJoin) {
   writers.reserve(kWriters);
   for (int w = 0; w < kWriters; ++w) {
     writers.emplace_back([&snapshots, w] {
-      MetricsRegistry registry;
-      Counter& balls = registry.counter("merge.balls");
-      LatencyHistogram& lat = registry.histogram("merge.latency_ns");
+      LatencyHistogram lat;
       for (std::uint64_t i = 0; i < kRecordsPerWriter; ++i) {
-        balls.increment();
+        snapshots[w].add_counter("merge.balls", 1);
         lat.record(i + 1);
       }
-      snapshots[w] = registry.snapshot();
+      snapshots[w].add_histogram("merge.latency_ns", lat);
     });
   }
   for (auto& t : writers) t.join();
@@ -105,33 +68,6 @@ TEST(ObsTsanStress, PerThreadSnapshotsMergeExactlyAfterJoin) {
   EXPECT_EQ(lat->histogram.count(), kWriters * kRecordsPerWriter);
   EXPECT_EQ(lat->histogram.min(), 1u);
   EXPECT_EQ(lat->histogram.max(), kRecordsPerWriter);
-}
-
-// Snapshots taken *while* counter/gauge writers are running: the atomics
-// make any momentary value legal; the assertion is monotonicity of the
-// shared counter across successive snapshots plus an exact final total.
-TEST(ObsTsanStress, SnapshotDuringCounterWritersIsMonotone) {
-  constexpr std::uint64_t kOpsPerWriter = 30000;
-  MetricsRegistry registry;
-  Counter& shared = registry.counter("live.shared");
-
-  std::vector<std::thread> writers;
-  writers.reserve(kWriters);
-  for (int w = 0; w < kWriters; ++w) {
-    writers.emplace_back([&shared] {
-      for (std::uint64_t i = 0; i < kOpsPerWriter; ++i) shared.increment();
-    });
-  }
-
-  std::uint64_t last = 0;
-  for (int polls = 0; polls < 50; ++polls) {
-    const std::uint64_t now = registry.snapshot().counter_value("live.shared");
-    EXPECT_GE(now, last);
-    last = now;
-  }
-  for (auto& t : writers) t.join();
-  EXPECT_EQ(registry.snapshot().counter_value("live.shared"),
-            kWriters * kOpsPerWriter);
 }
 
 // Regression for the PR 9 TSan finding: concurrent write() calls while

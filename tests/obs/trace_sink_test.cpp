@@ -98,14 +98,15 @@ TEST(JsonLine, EndObjectWithoutOpenThrows) {
 }
 
 TEST(AppendMetrics, WritesEveryKind) {
-  MetricsRegistry reg;
-  reg.add_counter("c.count", 12);
-  reg.set_gauge("g.gauge", 1.5);
-  LatencyHistogram& h = reg.histogram("h.hist");
+  Snapshot snap;
+  snap.add_counter("c.count", 12);
+  snap.set_gauge("g.gauge", 1.5);
+  LatencyHistogram h;
   h.record(100);
   h.record(300);
+  snap.add_histogram("h.hist", h);
   JsonLine line("summary", "t");
-  append_metrics(line, reg.snapshot());
+  append_metrics(line, snap);
   const std::string out = line.finish();
   EXPECT_NE(out.find(R"("metrics":{)"), std::string::npos);
   EXPECT_NE(out.find(R"("c.count":12)"), std::string::npos);

@@ -448,15 +448,14 @@ int main(int argc, char** argv) {
     }
 
     if (obs.counters_on()) {
-      // Aggregate the stream cases' harvested counters into one registry
+      // Aggregate the stream cases' harvested counters into one snapshot
       // (the record already carries them per case).
-      bbb::obs::MetricsRegistry registry;
       bbb::obs::CoreCounters total;
       for (const Case& c : cases) {
         if (c.has_counters) total.accumulate(c.counters);
       }
-      bbb::obs::fold_into(registry, total);
-      const bbb::obs::Snapshot snapshot = registry.snapshot();
+      bbb::obs::Snapshot snapshot;
+      bbb::obs::fold_into(snapshot, total);
       bbb::obs::print_summary(snapshot, stderr);
       if (obs.sink) {
         for (const Case& c : cases) {

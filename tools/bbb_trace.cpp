@@ -73,9 +73,7 @@ int main(int argc, char** argv) {
     // core's passive counters directly once the stream is complete.
     bbb::obs::Snapshot obs_snapshot;
     if (obs.counters_on()) {
-      bbb::obs::MetricsRegistry registry;
-      bbb::obs::fold_into(registry, bbb::obs::harvest(*alloc));
-      obs_snapshot = registry.snapshot();
+      bbb::obs::fold_into(obs_snapshot, bbb::obs::harvest(*alloc));
       if (obs.sink) {
         bbb::obs::JsonLine line("summary", "trace");
         bbb::obs::append_metrics(line, obs_snapshot);
