@@ -6,7 +6,7 @@ contract a past PR established and the tree now relies on:
 
   obs-boundary        src/bbb/core/ never includes bbb/obs/ — the PR 7
                       harvest boundary (core keeps passive plain counters;
-                      drivers fold them into the registry post-hoc, so
+                      drivers fold them into a Snapshot post-hoc, so
                       --obs=off runs the byte-identical hot loop).
   lemire-only         Engine draws in src/bbb/core/ go through
                       rng::uniform_below / rng::lemire_map (or the
@@ -40,6 +40,13 @@ contract a past PR established and the tree now relies on:
                       caller is its own test is dead weight. The one
                       exemption is an ORPHAN_HEADER_ALLOW entry with a
                       reason; line suppressions do not apply.
+  one-run-harness     Under src/bbb/, only obs/run.hpp fans replicates out
+                      (par::parallel_map / parallel_for) or writes the
+                      run_start / replicate / summary trace events — sim,
+                      dyn and law share that one harness, so a second
+                      copy of the replicate loop cannot grow back.
+                      In-replicate heartbeat lines stay with the tiers;
+                      par/ itself defines the fan-out.
 
 Suppression (all rules but orphan-header): append
 `// bbb-lint: allow(rule-id)` to the offending line.
@@ -344,6 +351,40 @@ BBB_INCLUDE_RE = re.compile(r'^\s*#\s*include\s*[<"](bbb/[^">]+\.hpp)[">]')
 ORPHAN_HEADER_ALLOW = {}
 
 
+# one-run-harness: a fan-out call, and a JsonLine built for one of the
+# harness's three run events (matched on the raw line: code_lines blanks
+# the string literal that names the event).
+FAN_OUT_RE = re.compile(r"\bparallel_(?:map|for)\s*[<(]")
+RUN_EVENT_RE = re.compile(r'\bJsonLine\b[^;]*?\(\s*"(run_start|replicate|summary)"')
+RUN_HARNESS = "src/bbb/obs/run.hpp"
+
+
+def check_one_run_harness(root):
+    """Only obs/run.hpp fans replicates out or writes run-level events."""
+    src = os.path.join(root, "src", "bbb")
+    par = os.path.join(src, "par")
+    violations = []
+    for path in iter_cpp_files(root):
+        rel_path = rel(root, path).replace(os.sep, "/")
+        if not path.startswith(src + os.sep) or path.startswith(par + os.sep) \
+                or rel_path == RUN_HARNESS:
+            continue
+        raw = read_lines(path)
+        for i, (line, code) in enumerate(zip(raw, code_lines(raw)), 1):
+            if suppressed(line, "one-run-harness"):
+                continue
+            if FAN_OUT_RE.search(code):
+                violations.append((rel_path, i, "one-run-harness",
+                                   "replicate fan-out outside obs/run.hpp — call "
+                                   "obs::run_replicates instead"))
+            event = RUN_EVENT_RE.search(line) if "JsonLine" in code else None
+            if event:
+                violations.append((rel_path, i, "one-run-harness",
+                                   f"'{event.group(1)}' trace event outside "
+                                   "obs/run.hpp — write it through obs::RunTrace"))
+    return violations
+
+
 def check_orphan_header(root):
     """Every src/bbb/ header has an includer outside its own pair and tests/."""
     includers = {}  # header path -> extension-less paths of its includers
@@ -384,6 +425,7 @@ RULES = (
     ("header-hygiene", check_header_hygiene),
     ("cli-doc-flags", check_cli_doc_flags),
     ("orphan-header", check_orphan_header),
+    ("one-run-harness", check_one_run_harness),
 )
 
 

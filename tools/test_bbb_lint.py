@@ -275,6 +275,36 @@ class OrphanHeader(FixtureTree):
             bbb_lint.ORPHAN_HEADER_ALLOW = original
 
 
+class OneRunHarness(FixtureTree):
+    def test_tier_calling_parallel_map_fires(self):
+        write(self.root, "src/bbb/dyn/engine.cpp",
+              "auto reps = par::parallel_map<Rep>(pool, n, one);\n")
+        violations = bbb_lint.check_one_run_harness(self.root)
+        self.assertEqual(rules_fired(violations), ["one-run-harness"])
+        self.assertEqual(violations[0][:2], ("src/bbb/dyn/engine.cpp", 1))
+
+    def test_tier_writing_summary_fires(self):
+        write(self.root, "src/bbb/law/engine.cpp",
+              'obs::JsonLine line("summary", "law");\n')
+        violations = bbb_lint.check_one_run_harness(self.root)
+        self.assertEqual(rules_fired(violations), ["one-run-harness"])
+        self.assertIn("'summary'", violations[0][3])
+
+    def test_heartbeat_is_clean(self):
+        write(self.root, "src/bbb/sim/runner.cpp",
+              'obs::JsonLine line("heartbeat", "sim");\n'
+              "// parallel_map(...) in a comment is prose, not a call\n")
+        self.assertEqual(bbb_lint.check_one_run_harness(self.root), [])
+
+    def test_the_harness_itself_is_clean(self):
+        write(self.root, "src/bbb/obs/run.hpp",
+              "return par::parallel_map<Rec>(pool, count, one);\n"
+              'JsonLine line("run_start", tool_);\n')
+        write(self.root, "src/bbb/par/parallel_for.hpp",
+              "parallel_for(pool, 0, count, body);\n")
+        self.assertEqual(bbb_lint.check_one_run_harness(self.root), [])
+
+
 class MainEntry(FixtureTree):
     def test_clean_fixture_exits_zero(self):
         self.assertEqual(bbb_lint.main(["bbb_lint.py", self.root]), 0)
