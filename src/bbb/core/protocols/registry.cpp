@@ -51,6 +51,17 @@ std::uint32_t positive(std::uint32_t value, const std::string& spec) {
   return value;
 }
 
+/// The choice count d of greedy[d] / memory[d,k]: 1 <= d <= kMaxChoices.
+std::uint32_t choices(const ParsedSpec& s, const std::string& spec) {
+  const std::uint32_t d = positive(arg_at(s, 0, spec), spec);
+  if (d > kMaxChoices) {
+    throw std::invalid_argument("protocol spec '" + spec + "': choice count d = " +
+                                std::to_string(d) + " exceeds the maximum " +
+                                std::to_string(kMaxChoices));
+  }
+  return d;
+}
+
 void reject_args(const ParsedSpec& s, const std::string& spec) {
   if (!s.args.empty()) {
     throw std::invalid_argument("protocol spec '" + spec + "': takes no arguments");
@@ -104,7 +115,7 @@ ParsedProtocol parse_protocol(const std::string& spec) {
       return std::make_unique<OneChoiceRule>();
     };
   } else if (s.name == "greedy") {
-    const std::uint32_t d = positive(arg_at(s, 0, rest), rest);
+    const std::uint32_t d = choices(s, rest);
     p.name = bracketed(s.name, {d});
     p.bind = [d](std::uint32_t, std::uint64_t) {
       return std::make_unique<DChoiceRule>(d);
@@ -116,7 +127,7 @@ ParsedProtocol parse_protocol(const std::string& spec) {
       return std::make_unique<LeftDRule>(n, d);
     };
   } else if (s.name == "memory") {
-    const std::uint32_t d = positive(arg_at(s, 0, rest), rest);
+    const std::uint32_t d = choices(s, rest);
     const std::uint32_t k = positive(arg_at(s, 1, rest), rest);
     p.name = bracketed(s.name, {d, k});
     p.bind = [d, k](std::uint32_t, std::uint64_t) {

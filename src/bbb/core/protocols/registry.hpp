@@ -22,9 +22,9 @@
 ///
 /// Recognized specs:
 ///   one-choice
-///   greedy[d]            e.g. greedy[2]
+///   greedy[d]            e.g. greedy[2]; 1 <= d <= kMaxChoices (1024)
 ///   left[d]              e.g. left[4]
-///   memory[d,k]          e.g. memory[1,1]
+///   memory[d,k]          e.g. memory[1,1]; 1 <= d <= kMaxChoices
 ///   threshold            = threshold[1]
 ///   threshold[slack]
 ///   doubling-threshold[guess]   guess-and-double unknown-m variant (0 = n)

@@ -29,6 +29,11 @@ namespace bbb::core {
 /// its cost independently of n (t <= n is checked when the run binds n).
 inline constexpr std::uint32_t kMaxShards = 256;
 
+/// Largest choice count d a `greedy[d]` or `memory[d,k]` spec accepts.
+/// Each ball draws d probes whatever n is, so d = 2^32 - 1 would run for
+/// hours even at n = 16; the paper's protocols use d <= 9.
+inline constexpr std::uint32_t kMaxChoices = 1024;
+
 /// A parsed spec: a name plus optional bracketed integer arguments.
 struct ParsedSpec {
   std::string name;

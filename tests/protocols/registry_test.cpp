@@ -5,6 +5,7 @@
 #include <memory>
 
 #include "bbb/core/protocols/bounded_probe.hpp"
+#include "bbb/core/spec.hpp"
 #include "bbb/rng/xoshiro256.hpp"
 
 namespace bbb::core {
@@ -84,6 +85,23 @@ TEST(Registry, InvalidParametersPropagate) {
   EXPECT_THROW((void)make_protocol("memory[0,1]"), std::invalid_argument);
   EXPECT_THROW((void)make_protocol("batched[0]"), std::invalid_argument);
   EXPECT_THROW((void)make_protocol("cuckoo[0,4]"), std::invalid_argument);
+}
+
+TEST(Registry, ChoiceCountIsCappedAtParse) {
+  static_assert(kMaxChoices == 1024);
+  const auto greedy = make_streaming_allocator("greedy[1024]", 16, 64);
+  EXPECT_EQ(greedy->name(), "greedy[1024]");
+  rng::Engine gen(1);
+  greedy->run_batch(64, gen);
+  EXPECT_EQ(greedy->state().balls(), 64u);
+  EXPECT_EQ(make_streaming_allocator("memory[1024,1]", 16, 64)->name(), "memory[1024,1]");
+  // Rejected before any rule or state exists, whatever n is.
+  for (const char* spec : {"greedy[1025]", "greedy[4294967295]", "memory[1025,1]",
+                           "memory[4294967295,1]"}) {
+    EXPECT_THROW((void)make_protocol(spec), std::invalid_argument) << spec;
+    EXPECT_THROW((void)make_streaming_allocator(spec, 16, 64), std::invalid_argument)
+        << spec;
+  }
 }
 
 TEST(Registry, BothFactoriesAgreeOnBatchedArgs) {
