@@ -97,7 +97,14 @@ int main(int argc, char** argv) {
       table.add_num(mean_a, mv.precision);
       table.add_num(mean_b, mv.precision);
       table.add_num(iv.point, mv.precision);
-      table.add_cell("[" + std::to_string(iv.lo) + ", " + std::to_string(iv.hi) + "]");
+      // Appended piecewise: GCC 12 at -O3 reports a false -Wrestrict on
+      // the equivalent "[" + std::to_string(...) + ... chain.
+      std::string ci = "[";
+      ci += std::to_string(iv.lo);
+      ci += ", ";
+      ci += std::to_string(iv.hi);
+      ci += "]";
+      table.add_cell(ci);
       table.add_cell(verdict);
     }
     std::fputs(table.render(format).c_str(), stdout);
