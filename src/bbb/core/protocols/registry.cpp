@@ -54,12 +54,10 @@ std::uint32_t positive(std::uint32_t value, const std::string& spec) {
 /// The choice count d of greedy[d] / memory[d,k]: 1 <= d <= kMaxChoices.
 std::uint32_t choices(const ParsedSpec& s, const std::string& spec) {
   const std::uint32_t d = positive(arg_at(s, 0, spec), spec);
-  if (d > kMaxChoices) {
-    throw std::invalid_argument("protocol spec '" + spec + "': choice count d = " +
-                                std::to_string(d) + " exceeds the maximum " +
-                                std::to_string(kMaxChoices));
-  }
-  return d;
+  if (d <= kMaxChoices) return d;
+  throw std::invalid_argument("protocol spec '" + spec + "': choice count d = " +
+                              std::to_string(d) + " exceeds the maximum " +
+                              std::to_string(kMaxChoices));
 }
 
 void reject_args(const ParsedSpec& s, const std::string& spec) {

@@ -148,8 +148,7 @@ struct DynSummary {
 };
 
 /// Execute one replicate (exposed for tests and custom aggregation). An
-/// unset layout is resolved as run_dynamic resolves it. The record's
-/// wall_ns stays 0: run_dynamic's harness times each replicate.
+/// unset layout is resolved as run_dynamic resolves it.
 [[nodiscard]] DynReplicate run_dynamic_replicate(const DynConfig& config,
                                                  std::uint32_t replicate_index);
 

@@ -32,13 +32,14 @@ struct SnapshotEntry {
   std::uint64_t counter = 0;
   double gauge = 0.0;
   /// Full histogram state, not just extracted quantiles, so snapshots
-  /// merge losslessly (DynSummary folds per-replicate snapshots).
+  /// merge losslessly (bbb_compare merges two runs' snapshots).
   LatencyHistogram histogram;
 };
 
 /// Name-sorted metric values. Value type: cheap to return from run_*
 /// entry points and embed in summaries. A name keeps the kind it was
-/// first folded in with.
+/// first folded in with: folding it as another kind throws
+/// std::logic_error.
 struct Snapshot {
   std::vector<SnapshotEntry> entries;
 
@@ -49,13 +50,10 @@ struct Snapshot {
   [[nodiscard]] std::uint64_t counter_value(std::string_view name) const noexcept;
 
   /// Add `n` to counter `name` (created at 0).
-  /// \throws std::logic_error if `name` is a gauge or a histogram.
   void add_counter(std::string_view name, std::uint64_t n);
   /// Set gauge `name` to `v`; the last write wins.
-  /// \throws std::logic_error if `name` is a counter or a histogram.
   void set_gauge(std::string_view name, double v);
   /// Merge `h` into histogram `name` (created empty), losslessly.
-  /// \throws std::logic_error if `name` is a counter or a gauge.
   void add_histogram(std::string_view name, const LatencyHistogram& h);
 
   /// Fold `other` in through the three folds above: counters add, gauges

@@ -1,24 +1,12 @@
 #pragma once
 /// \file run.hpp
 /// The one replicate harness behind sim::run_experiment,
-/// dyn::run_dynamic and law::run_law_experiment. Every experiment runs as
-/// seeded replicates on a thread pool and folds them in replicate order,
-/// so whatever a run reports is independent of scheduling. This header
-/// owns the parts the three tiers share:
-///
-///   * `run_replicates` fans the replicates out in replicate order and,
-///     when counters are on, stamps each record's `wall_ns`;
-///   * `fold_replicates` builds the run's Snapshot from the records: the
-///     `<tier>.replicate.wall_ns` histogram, plus the summed core counters
-///     when the record carries them;
-///   * `RunTrace` writes the run's `run_start`, one `replicate` line per
-///     record, and the closing `summary`;
-///   * `elapsed_ns`, the one wall clock.
-///
-/// A tier keeps only what is its own: validation, its config and metric
-/// fields, its statistics fold, and any extra metrics. In-replicate
-/// heartbeats stay with the tier, which is the only place that can see
-/// a replicate's progress.
+/// dyn::run_dynamic and law::run_law_experiment: seeded replicates fan
+/// out on a thread pool and fold in replicate order, so whatever a run
+/// reports is independent of scheduling. A tier keeps only what is its
+/// own: validation, its config and metric fields, its statistics fold and
+/// any extra metrics. In-replicate heartbeats also stay with the tier,
+/// the one place that sees a replicate's progress.
 
 #include <chrono>
 #include <cstdint>

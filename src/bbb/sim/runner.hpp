@@ -43,8 +43,7 @@ struct RunSummary {
 };
 
 /// Execute one replicate (exposed for tests and custom aggregation). An
-/// unset layout is resolved as run_experiment resolves it. The record's
-/// wall_ns stays 0: run_experiment's harness times each replicate.
+/// unset layout is resolved as run_experiment resolves it.
 [[nodiscard]] ReplicateRecord run_replicate(const ExperimentConfig& config,
                                             std::uint32_t replicate_index);
 
