@@ -28,7 +28,7 @@
 ///     ~12 GiB (loads + nonempty index). Right-sized for the m = O(n)
 ///     regimes giant runs live in; once the heaviest bins near load 255
 ///     the side-table dominates and wide is the better pick
-///     (core::preferred_layout encodes that cliff; sim, dyn and trace
+///     (Protocol::preferred_layout encodes that cliff; sim, dyn and trace
 ///     runs pick their layout through it). Two API features are
 ///     unavailable:
 ///     `loads()` (borrow the wide vector; use `copy_loads()` or `load()`)

@@ -12,10 +12,10 @@
 /// for the exact thresholds).
 ///
 /// As a streaming rule the eviction walk relocates *other* balls after
-/// they were placed, so ball identity is not stable
-/// (`stable_ball_identity() == false`): the dyn engine selects departure
-/// victims by bin occupancy, and `on_remove` retires one resident of that
-/// bucket. An insertion that exhausts its eviction budget parks the last
+/// they were placed, so ball identity is not stable (the parsed
+/// `Protocol::stable_ball_identity()` is false): the dyn engine selects
+/// departure victims by bin occupancy, and `on_remove` retires one
+/// resident of that bucket. An insertion that exhausts its eviction budget parks the last
 /// displaced item (the net count does not grow) and clears `completed()`.
 
 #include <vector>
@@ -39,7 +39,6 @@ class CuckooRule final : public PlacementRule {
   CuckooRule(std::uint32_t n, Params params);
 
   [[nodiscard]] std::string name() const override;
-  [[nodiscard]] bool stable_ball_identity() const noexcept override { return false; }
   [[nodiscard]] std::uint32_t bound_n() const noexcept override {
     return static_cast<std::uint32_t>(residents_.size());
   }

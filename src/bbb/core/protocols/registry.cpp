@@ -23,21 +23,6 @@ namespace {
 
 constexpr const char* kKind = "protocol";
 
-/// Builds the rule once the run's n and m hint are known.
-using RuleBinder =
-    std::function<std::unique_ptr<PlacementRule>(std::uint32_t n, std::uint64_t m_hint)>;
-
-/// A spec parsed without n: its modifier prefixes, its canonical name, and
-/// a binder holding the validated arguments. Everything that can be
-/// rejected without n has been by the time this exists; the binder's rule
-/// constructors check the n-dependent limits (left[d] with d > n, ...).
-struct ParsedProtocol {
-  SpecPrefix prefix;
-  std::string name;  ///< e.g. "greedy[2]", "capacities=1,2:greedy[2]"
-  RuleBinder bind;
-  bool needs_wide = false;  ///< batched[k]: its LW rounds run on wide states only
-};
-
 std::uint32_t arg_at(const ParsedSpec& s, std::size_t i, const std::string& spec) {
   return spec_arg_u32(s, i, spec, kKind);
 }
@@ -83,121 +68,154 @@ std::string slack_name(const std::string& base, std::uint32_t slack) {
 
 /// The binder of a bounded-probe family whose spec does not depend on
 /// (n, m_hint).
-RuleBinder bounded(const BoundSpec& spec, const std::string& name) {
+auto bounded(const BoundSpec& spec, const std::string& name) {
   return [spec, name](std::uint32_t n, std::uint64_t) {
     return std::make_unique<BoundedProbeRule>(n, spec, name);
   };
 }
 
-ParsedProtocol parse_protocol(const std::string& spec) {
-  ParsedProtocol p;
-  p.prefix = split_spec_prefix(spec, kKind);
-  if (p.prefix.weighted) {
+}  // namespace
+
+std::unique_ptr<Protocol> make_protocol(const std::string& spec) {
+  std::unique_ptr<Protocol> protocol(new Protocol());
+  Protocol& p = *protocol;
+  SpecPrefix prefix = split_spec_prefix(spec, kKind);
+  if (prefix.weighted) {
     throw std::invalid_argument("protocol spec '" + spec +
                                 "': 'weighted:' is a workload modifier, not a "
                                 "protocol one");
   }
-  if (p.prefix.shards != 0 && !p.prefix.capacities.empty()) {
+  if (prefix.shards != 0 && !prefix.capacities.empty()) {
     // The shard engine partitions a *uniform* state; a capacitated
     // sharded run would need per-shard capacity profiles it cannot cut.
     throw std::invalid_argument("protocol spec '" + spec +
                                 "': 'shards[t]:' cannot combine with "
                                 "'capacities='");
   }
-  const std::string& rest = p.prefix.rest;
+  const std::string& rest = prefix.rest;
   const ParsedSpec s = parse_spec(rest, kKind);
   if (s.name == "one-choice") {
     reject_args(s, rest);
-    p.name = s.name;
-    p.bind = [](std::uint32_t, std::uint64_t) {
+    p.name_ = s.name;
+    p.binder_ = [](std::uint32_t, std::uint64_t) {
       return std::make_unique<OneChoiceRule>();
     };
   } else if (s.name == "greedy") {
     const std::uint32_t d = choices(s, rest);
-    p.name = bracketed(s.name, {d});
-    p.bind = [d](std::uint32_t, std::uint64_t) {
+    p.name_ = bracketed(s.name, {d});
+    p.binder_ = [d](std::uint32_t, std::uint64_t) {
       return std::make_unique<DChoiceRule>(d);
     };
   } else if (s.name == "left") {
     const std::uint32_t d = positive(arg_at(s, 0, rest), rest);
-    p.name = bracketed(s.name, {d});
-    p.bind = [d](std::uint32_t n, std::uint64_t) {
+    p.name_ = bracketed(s.name, {d});
+    p.binder_ = [d](std::uint32_t n, std::uint64_t) {
       return std::make_unique<LeftDRule>(n, d);
     };
   } else if (s.name == "memory") {
     const std::uint32_t d = choices(s, rest);
     const std::uint32_t k = positive(arg_at(s, 1, rest), rest);
-    p.name = bracketed(s.name, {d, k});
-    p.bind = [d, k](std::uint32_t, std::uint64_t) {
+    p.name_ = bracketed(s.name, {d, k});
+    p.binder_ = [d, k](std::uint32_t, std::uint64_t) {
       return std::make_unique<MemoryDKRule>(d, k);
     };
   } else if (s.name == "threshold") {
     const std::uint32_t slack = spec_optional_arg_u32(s, 1, rest, kKind);
-    p.name = slack_name(s.name, slack);
+    p.name_ = slack_name(s.name, slack);
     // No hint: provision for a net population of n balls, so threshold[c]
     // accepts load <= ceil(n/n) + c - 1 = c.
-    p.bind = [slack, name = p.name](std::uint32_t n, std::uint64_t m_hint) {
+    p.binder_ = [slack, name = p.name_](std::uint32_t n, std::uint64_t m_hint) {
       const BoundSpec bound{
           .clock = BoundClock::kFixed, .slack = slack, .arg = m_hint == 0 ? n : m_hint};
       return std::make_unique<BoundedProbeRule>(n, bound, name);
     };
   } else if (s.name == "doubling-threshold") {
     const std::uint64_t guess = spec_optional_arg(s, 0, rest, kKind);
-    p.name = bracketed(s.name, {guess});
-    p.bind = bounded({.clock = BoundClock::kDoubling, .arg = guess}, p.name);
+    p.name_ = bracketed(s.name, {guess});
+    p.binder_ = bounded({.clock = BoundClock::kDoubling, .arg = guess}, p.name_);
   } else if (s.name == "adaptive" || s.name == "adaptive-net" ||
              s.name == "adaptive-total") {
     const std::uint32_t slack = spec_optional_arg_u32(s, 1, rest, kKind);
     const BoundClock clock =
         s.name == "adaptive-net" ? BoundClock::kNet : BoundClock::kPlaced;
-    p.name = slack_name(s.name, slack);
-    p.bind = bounded({.clock = clock, .slack = slack}, p.name);
+    p.name_ = slack_name(s.name, slack);
+    p.binder_ = bounded({.clock = clock, .slack = slack}, p.name_);
   } else if (s.name == "stale-adaptive") {
     const std::uint32_t delta = positive(arg_at(s, 0, rest), rest);
-    p.name = bracketed(s.name, {delta});
-    p.bind = bounded({.clock = BoundClock::kStale, .arg = delta}, p.name);
+    p.name_ = bracketed(s.name, {delta});
+    p.binder_ = bounded({.clock = BoundClock::kStale, .arg = delta}, p.name_);
   } else if (s.name == "skewed-adaptive") {
     const std::uint32_t s100 = arg_at(s, 0, rest);
-    p.name = bracketed(s.name, {s100});
-    p.bind = bounded({.zipf_s = static_cast<double>(s100) / 100.0}, p.name);
+    p.name_ = bracketed(s.name, {s100});
+    p.binder_ = bounded({.zipf_s = static_cast<double>(s100) / 100.0}, p.name_);
   } else if (s.name == "batched") {
     const std::uint32_t capacity =
         positive(spec_optional_arg_u32(s, 2, rest, kKind), rest);
-    p.name = bracketed(s.name, {capacity});
-    p.bind = [capacity](std::uint32_t, std::uint64_t) {
+    p.name_ = bracketed(s.name, {capacity});
+    p.binder_ = [capacity](std::uint32_t, std::uint64_t) {
       return std::make_unique<BatchedRule>(capacity);
     };
-    p.needs_wide = true;
+    p.needs_wide_ = true;
   } else if (s.name == "self-balancing") {
     reject_args(s, rest);
-    p.name = s.name;
-    p.bind = [](std::uint32_t, std::uint64_t) {
+    p.name_ = s.name;
+    p.binder_ = [](std::uint32_t, std::uint64_t) {
       return std::make_unique<SelfBalancingRule>();
     };
   } else if (s.name == "cuckoo") {
     CuckooRule::Params params;
     params.d = positive(arg_at(s, 0, rest), rest);
     params.bucket_size = positive(arg_at(s, 1, rest), rest);
-    p.name = bracketed(s.name, {params.d, params.bucket_size});
-    p.bind = [params](std::uint32_t n, std::uint64_t) {
+    p.name_ = bracketed(s.name, {params.d, params.bucket_size});
+    p.binder_ = [params](std::uint32_t n, std::uint64_t) {
       return std::make_unique<CuckooRule>(n, params);
     };
+    p.stable_ball_identity_ = false;  // evictions move placed balls
   } else {
     throw std::invalid_argument("unknown protocol '" + s.name + "'");
   }
-  if (!p.prefix.capacities.empty()) {
-    p.name = capacities_prefix(p.prefix.capacities) + p.name;
+  if (prefix.shards != 0) {
+    // Reject what the shard engine cannot run at parse, not first run.
+    (void)shard::shard_family(rest, prefix.shards);
+    p.name_ = "shards[" + std::to_string(prefix.shards) + "]:" + p.name_;
   }
-  return p;
+  if (!prefix.capacities.empty()) {
+    p.name_ = capacities_prefix(prefix.capacities) + p.name_;
+  }
+  p.prefix_ = std::move(prefix);
+  return protocol;
 }
 
-/// The bind step behind make_streaming_allocator and every Protocol::run:
-/// the rule for (n, m_hint) over a fresh state of the given layout.
-std::unique_ptr<StreamingAllocator> bind_allocator(const ParsedProtocol& p,
-                                                   std::uint32_t n, std::uint64_t m_hint,
-                                                   StateLayout layout) {
-  auto rule = p.bind(n, m_hint);
-  const std::vector<std::uint32_t>& profile = p.prefix.capacities;
+std::unique_ptr<PlacementRule> Protocol::bind_rule(std::uint32_t n,
+                                                   std::uint64_t m_hint) const {
+  if (prefix_.shards != 0) {
+    // A rule is one shard's decision logic; the engine owning the worker
+    // threads and the round phases is a different object.
+    throw std::invalid_argument("protocol spec '" + name() +
+                                "': 'shards[t]:' builds a multi-threaded engine, not "
+                                "a rule — run it through Protocol::run or bind_sharded");
+  }
+  return binder_(n, m_hint);
+}
+
+AllocationResult Protocol::run(std::uint64_t m, std::uint32_t n, rng::Engine& gen) const {
+  if (n == 0) throw std::invalid_argument("Protocol::run: n must be positive");
+  if (prefix_.shards != 0) {
+    // The batch path materializes loads, so the engine runs wide.
+    const auto engine = bind_sharded(n, m, StateLayout::kWide);
+    engine->run(m, gen);
+    return engine->result();
+  }
+  const auto alloc = bind(n, m, StateLayout::kWide);
+  alloc->set_engine_exclusive(true);
+  alloc->run_batch(m, gen);
+  return alloc->result();
+}
+
+std::unique_ptr<StreamingAllocator> Protocol::bind(std::uint32_t n, std::uint64_t m_hint,
+                                                   StateLayout layout) const {
+  auto rule = bind_rule(n, m_hint);
+  const std::vector<std::uint32_t>& profile = prefix_.capacities;
   if (profile.empty()) {
     return std::make_unique<StreamingAllocator>(BinState(n, layout), std::move(rule));
   }
@@ -206,83 +224,46 @@ std::unique_ptr<StreamingAllocator> bind_allocator(const ParsedProtocol& p,
       capacities_prefix(profile));
 }
 
-/// The batch Protocol of every unsharded spec. Construction is the parse
-/// alone; run() binds it to (n, m) over a fresh wide state and drives the
-/// rule's batch hook, so the result is the streaming core's by
-/// construction.
-class SpecProtocol final : public Protocol {
- public:
-  explicit SpecProtocol(ParsedProtocol parsed) : parsed_(std::move(parsed)) {}
-
-  [[nodiscard]] std::string name() const override { return parsed_.name; }
-
-  [[nodiscard]] AllocationResult run(std::uint64_t m, std::uint32_t n,
-                                     rng::Engine& gen) const override {
-    validate_run_args(m, n);
-    const auto alloc = bind_allocator(parsed_, n, m, StateLayout::kWide);
-    alloc->set_engine_exclusive(true);
-    alloc->run_batch(m, gen);
-    return alloc->result();
+std::unique_ptr<shard::ShardedAllocator> Protocol::bind_sharded(
+    std::uint32_t n, std::uint64_t m_hint, StateLayout layout) const {
+  if (prefix_.shards == 0) {
+    throw std::invalid_argument("protocol spec '" + name() +
+                                "': bind_sharded needs a 'shards[t]:' spec");
   }
-
- private:
-  ParsedProtocol parsed_;
-};
-
-void reject_shards(const ParsedProtocol& p, const std::string& spec, const char* what) {
-  if (p.prefix.shards != 0) {
-    // A rule is one shard's decision logic; the engine owning the worker
-    // threads and the round phases is a different object.
-    throw std::invalid_argument(
-        "protocol spec '" + spec +
-        "': 'shards[t]:' builds a multi-threaded engine, not " + what +
-        " — run it via make_protocol (or shard::ShardedAllocator)");
-  }
+  shard::ShardOptions opt;
+  opt.shards = prefix_.shards;
+  opt.layout = layout;
+  opt.m_hint = m_hint;
+  return std::make_unique<shard::ShardedAllocator>(prefix_.rest, n, opt);
 }
 
-}  // namespace
-
-std::unique_ptr<Protocol> make_protocol(const std::string& spec) {
-  ParsedProtocol parsed = parse_protocol(spec);
-  if (parsed.prefix.shards != 0) {
-    shard::ShardOptions opt;
-    opt.shards = parsed.prefix.shards;
-    return std::make_unique<shard::ShardedProtocol>(parsed.prefix.rest, opt);
-  }
-  return std::make_unique<SpecProtocol>(std::move(parsed));
+StateLayout Protocol::preferred_layout(std::uint32_t n,
+                                       std::uint64_t expected_balls) const {
+  // n == 0 is rejected when the run binds its state.
+  const bool wide =
+      needs_wide_ || n == 0 || ceil_div(expected_balls, n) >= kCompactLoadCliff;
+  return wide ? StateLayout::kWide : StateLayout::kCompact;
 }
 
 std::unique_ptr<PlacementRule> make_rule(const std::string& spec, std::uint32_t n,
                                          std::uint64_t m_hint) {
-  const ParsedProtocol parsed = parse_protocol(spec);
-  reject_shards(parsed, spec, "a streaming rule");
-  if (!parsed.prefix.capacities.empty()) {
+  const auto protocol = make_protocol(spec);
+  if (!protocol->prefix_.capacities.empty()) {
     // A bare rule has no state to carry the capacities; pairing it with a
     // uniform BinState would silently drop them.
     throw std::invalid_argument(
         "protocol spec '" + spec +
         "': 'capacities=' needs the matching state — build the pair through "
-        "make_streaming_allocator (or run via make_protocol)");
+        "Protocol::bind (or make_streaming_allocator)");
   }
-  return parsed.bind(n, m_hint);
+  return protocol->bind_rule(n, m_hint);
 }
 
 std::unique_ptr<StreamingAllocator> make_streaming_allocator(const std::string& spec,
                                                              std::uint32_t n,
                                                              std::uint64_t m_hint,
                                                              StateLayout layout) {
-  const ParsedProtocol parsed = parse_protocol(spec);
-  reject_shards(parsed, spec, "a streaming allocator");
-  return bind_allocator(parsed, n, m_hint, layout);
-}
-
-StateLayout preferred_layout(const std::string& spec, std::uint32_t n,
-                             std::uint64_t expected_balls) {
-  const ParsedProtocol parsed = parse_protocol(spec);
-  // n == 0 is rejected when the run binds its state.
-  const bool wide = parsed.needs_wide || n == 0 ||
-                    ceil_div(expected_balls, n) >= kCompactLoadCliff;
-  return wide ? StateLayout::kWide : StateLayout::kCompact;
+  return make_protocol(spec)->bind(n, m_hint, layout);
 }
 
 std::vector<std::string> protocol_specs() {

@@ -26,15 +26,11 @@
 ///   * counts every random bin choice in `probes()` (the paper's
 ///     allocation time).
 ///
-/// Three self-describing traits keep the drivers honest:
+/// Two self-describing traits keep the drivers honest:
 ///   * `batch_equivalent()` — false for rules whose batch form is not the
 ///     plain place_one loop: batched (round-synchronous LW rounds on a wide
 ///     state) and self-balancing (post-placement balancing sweeps in
 ///     `finalize`);
-///   * `stable_ball_identity()` — false for reallocation-based rules
-///     (cuckoo) that move balls after placement; the dyn engine then
-///     selects departure victims by bin occupancy instead of ball
-///     identity, because a recorded "ball b sits in bin i" goes stale;
 ///   * `supports_weights()` — true for rules that can commit a whole
 ///     weight-w chain to one bin as a single atomic decision (one-choice,
 ///     greedy[d], left[d]). place_one with weight > 1 throws for every
@@ -144,10 +140,6 @@ class PlacementRule {
   /// True when `run_batch` is exactly the place_one loop, so an
   /// arrivals-only stream reproduces the batch result bit-for-bit.
   [[nodiscard]] virtual bool batch_equivalent() const noexcept { return true; }
-
-  /// False for rules that relocate balls after placement (cuckoo): the
-  /// dyn engine then picks departure victims by bin, not by ball.
-  [[nodiscard]] virtual bool stable_ball_identity() const noexcept { return true; }
 
   /// True for rules whose decision is independent of the arriving weight
   /// modulo the final add (one-choice, greedy[d], left[d]) and can

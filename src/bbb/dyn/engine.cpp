@@ -44,9 +44,9 @@ class BallRegistry {
 /// Where departures pick their victim. Eviction-based rules (cuckoo)
 /// relocate balls after placement, so a recorded ball->bin assignment goes
 /// stale: they take bin-occupancy victims whatever the workload asks for.
-DepartSelect departure_select(const Workload& workload, const core::PlacementRule& rule) {
-  return rule.stable_ball_identity() ? workload.depart_select()
-                                     : DepartSelect::kUniformNonemptyBin;
+DepartSelect departure_select(const Workload& workload, const core::Protocol& protocol) {
+  return protocol.stable_ball_identity() ? workload.depart_select()
+                                         : DepartSelect::kUniformNonemptyBin;
 }
 
 /// The spec-independent domain checks both entry points run first.
@@ -61,18 +61,25 @@ void check_run_shape(const DynConfig& config) {
   }
 }
 
+/// `config` with its layout resolved against the run's Protocol: the
+/// pinned one, or the derived one.
+DynConfig resolve_layout(const DynConfig& config, const core::Protocol& protocol) {
+  DynConfig run = config;
+  if (run.layout) return run;
+  const auto workload = make_workload(config.workload_spec, config.n);
+  if (departure_select(*workload, protocol) == DepartSelect::kUniformNonemptyBin) {
+    run.layout = core::StateLayout::kWide;  // sample_nonempty reads the wide index
+  } else {
+    run.layout = protocol.preferred_layout(config.n, workload->steady_balls());
+  }
+  return run;
+}
+
 }  // namespace
 
 core::StateLayout DynConfig::resolved_layout() const {
   if (layout) return *layout;
-  const auto workload = make_workload(workload_spec, n);
-  // Only the rule's ball-identity flag is read off this probe.
-  const auto probe = core::make_streaming_allocator(allocator_spec, n, m_hint,
-                                                    core::StateLayout::kCompact);
-  if (departure_select(*workload, probe->rule()) == DepartSelect::kUniformNonemptyBin) {
-    return core::StateLayout::kWide;  // sample_nonempty reads the wide index
-  }
-  return core::preferred_layout(allocator_spec, n, workload->steady_balls());
+  return *resolve_layout(*this, *core::make_protocol(allocator_spec)).layout;
 }
 
 std::string DynConfig::describe() const {
@@ -89,20 +96,18 @@ double DynSummary::psi_per_bin() const {
   return config.n > 0 ? psi.mean() / static_cast<double>(config.n) : 0.0;
 }
 
-DynReplicate run_dynamic_replicate(const DynConfig& config,
+namespace {
+
+/// One replicate of a run whose layout is resolved: the allocator is bound
+/// from the run's one Protocol.
+DynReplicate run_dynamic_replicate(const core::Protocol& protocol,
+                                   const DynConfig& config,
                                    std::uint32_t replicate_index) {
-  check_run_shape(config);
-  if (!config.layout) {
-    DynConfig resolved = config;
-    resolved.layout = config.resolved_layout();
-    return run_dynamic_replicate(resolved, replicate_index);
-  }
-  const auto alloc = core::make_streaming_allocator(config.allocator_spec, config.n,
-                                                    config.m_hint, *config.layout);
+  const auto alloc = protocol.bind(config.n, config.m_hint, *config.layout);
   const auto workload = make_workload(config.workload_spec, config.n);
   rng::Engine gen = rng::SeedSequence(config.seed).engine(replicate_index);
 
-  const DepartSelect select = departure_select(*workload, alloc->rule());
+  const DepartSelect select = departure_select(*workload, protocol);
   const bool track_balls = select != DepartSelect::kUniformNonemptyBin;
   // Atomic weighted arrivals (weighted:chains): the whole chain lands in
   // one bin via place_one(state, w, gen) when the rule can commit it
@@ -266,19 +271,28 @@ DynReplicate run_dynamic_replicate(const DynConfig& config,
   return rep;
 }
 
+}  // namespace
+
+DynReplicate run_dynamic_replicate(const DynConfig& config,
+                                   std::uint32_t replicate_index) {
+  check_run_shape(config);
+  const auto protocol = core::make_protocol(config.allocator_spec);
+  return run_dynamic_replicate(*protocol, resolve_layout(config, *protocol),
+                               replicate_index);
+}
+
 DynSummary run_dynamic(const DynConfig& config, par::ThreadPool& pool) {
   if (config.replicates == 0) {
     throw std::invalid_argument("run_dynamic: replicates must be positive");
   }
   check_run_shape(config);
-  // Validate both specs (and capture canonical names) before spawning
-  // work, and resolve the layout once: every replicate, the run_start
-  // trace and the returned summary name the same one.
-  DynConfig run = config;
-  run.layout = config.resolved_layout();
-  const std::string alloc_name =
-      core::make_streaming_allocator(run.allocator_spec, run.n, run.m_hint, *run.layout)
-          ->name();
+  // Parse both specs (and capture canonical names) before spawning work,
+  // and resolve the layout once: every replicate binds from this one
+  // Protocol, and every replicate, the run_start trace and the returned
+  // summary name the same layout.
+  const auto protocol = core::make_protocol(config.allocator_spec);
+  const std::string& alloc_name = protocol->name();
+  const DynConfig run = resolve_layout(config, *protocol);
   const std::string workload_name = make_workload(run.workload_spec, run.n)->name();
 
   const obs::RunTrace trace(config.obs, "dyn", [&](obs::JsonLine& line) {
@@ -301,7 +315,7 @@ DynSummary run_dynamic(const DynConfig& config, par::ThreadPool& pool) {
                       stats::RunningStats{});
   summary.replicates = obs::run_replicates(
       pool, config.replicates, config.obs,
-      [&run](std::uint32_t r) { return run_dynamic_replicate(run, r); });
+      [&](std::uint32_t r) { return run_dynamic_replicate(*protocol, run, r); });
 
   // Fold in replicate order: summaries are independent of scheduling.
   for (const DynReplicate& rep : summary.replicates) {

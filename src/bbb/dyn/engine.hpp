@@ -22,7 +22,7 @@
 /// sequential stream — results are bit-identical for any thread count.
 ///
 /// Victim selection caveat: rules that relocate balls after placement
-/// (cuckoo; `stable_ball_identity() == false`) make any recorded
+/// (cuckoo; `Protocol::stable_ball_identity() == false`) make any recorded
 /// "ball b sits in bin i" stale, so for those the engine overrides the
 /// workload's ball-based victim selection with uniform-nonempty-bin.
 
@@ -52,7 +52,7 @@ struct DynConfig {
   /// BinState storage layout; a set value pins it (perfbench does). Unset
   /// means derived, once per run: wide when departures serve busy bins
   /// (supermarket, or cuckoo's unstable ball identity) — sample_nonempty
-  /// needs the wide index — else core::preferred_layout at the workload's
+  /// needs the wide index — else Protocol::preferred_layout at the workload's
   /// steady_balls(). A pinned compact layout fails at the first such
   /// departure (BinState::sample_nonempty throws std::logic_error).
   std::optional<core::StateLayout> layout;

@@ -40,23 +40,16 @@ struct ProbeRequest {
   std::uint8_t slot = 0;
 };
 
-/// The one multi-shard family check behind both constructors: the inner
-/// rule's canonical name and, for t > 1, the decision kind and d the round
-/// protocol implements natively.
-struct Family {
-  DecisionKind kind = DecisionKind::kOneChoice;
-  std::uint32_t d = 1;
-  std::string name;
-};
+}  // namespace
 
-Family shard_family(const std::string& inner_spec, std::uint32_t shards) {
+ShardFamily shard_family(const std::string& inner_spec, std::uint32_t shards) {
   const std::string spec = "shards[" + std::to_string(shards) + "]:" + inner_spec;
   if (shards == 0 || shards > core::kMaxShards) {
     throw std::invalid_argument("protocol spec '" + spec +
                                 "': shard count must be in [1, " +
                                 std::to_string(core::kMaxShards) + "]");
   }
-  Family f;
+  ShardFamily f;
   f.name = core::make_protocol(inner_spec)->name();  // validates every argument
   if (shards == 1) return f;
   const core::ParsedSpec s = core::parse_spec(f.name, "protocol");
@@ -72,8 +65,6 @@ Family shard_family(const std::string& inner_spec, std::uint32_t shards) {
                               "': multi-shard mode implements one-choice / greedy[d] / "
                               "left[d] only; '" + f.name + "' runs only as shards[1]");
 }
-
-}  // namespace
 
 /// One worker's shard: its bins, its RNG substream, and all per-round
 /// scratch. Other workers touch its fields only in the phases the round
@@ -133,7 +124,7 @@ ShardedAllocator::ShardedAllocator(const std::string& inner_spec, std::uint32_t 
   // The registry checks the n-dependent limits (left[d] needs d <= n) and
   // rejects modifier prefixes; in single-shard mode this is the rule that runs.
   auto rule = core::make_rule(inner_spec, n, opt.m_hint);
-  const Family family = shard_family(inner_spec, topo_.shards());
+  const ShardFamily family = shard_family(inner_spec, topo_.shards());
   inner_name_ = family.name;
   kind_ = family.kind;
   d_ = family.d;
@@ -548,29 +539,6 @@ const core::BinState& ShardedAllocator::shard_state(std::uint32_t s) const {
   }
   if (s >= workers_.size()) throw std::out_of_range("shard_state: no such shard");
   return workers_[s]->state;
-}
-
-// -- ShardedProtocol ---------------------------------------------------------
-
-ShardedProtocol::ShardedProtocol(std::string inner_spec, ShardOptions opt)
-    : inner_spec_(std::move(inner_spec)), opt_(opt) {
-  opt_.layout = core::StateLayout::kWide;  // the batch path materializes loads
-  // Fail unsupported multi-shard rules at construction, not first run.
-  inner_name_ = shard_family(inner_spec_, opt_.shards).name;
-}
-
-std::string ShardedProtocol::name() const {
-  return "shards[" + std::to_string(opt_.shards) + "]:" + inner_name_;
-}
-
-core::AllocationResult ShardedProtocol::run(std::uint64_t m, std::uint32_t n,
-                                            rng::Engine& gen) const {
-  core::validate_run_args(m, n);
-  ShardOptions opt = opt_;
-  opt.m_hint = m;
-  ShardedAllocator engine(inner_spec_, n, opt);
-  engine.run(m, gen);
-  return engine.result();
 }
 
 }  // namespace bbb::shard

@@ -88,6 +88,22 @@ inline constexpr std::uint32_t kMaxShardD = 8;
 /// The decision rule a multi-shard run implements natively.
 enum class DecisionKind : std::uint8_t { kOneChoice, kGreedy, kLeft };
 
+/// The inner rule's canonical name and, for t > 1, the decision kind and d
+/// the round protocol implements natively.
+struct ShardFamily {
+  DecisionKind kind = DecisionKind::kOneChoice;
+  std::uint32_t d = 1;
+  std::string name;
+};
+
+/// The one multi-shard family check, run by ShardedAllocator and by
+/// core::make_protocol at parse.
+/// \throws std::invalid_argument for shards outside [1, core::kMaxShards],
+///         an invalid inner spec, or (t > 1) a rule outside one-choice /
+///         greedy[d <= kMaxShardD] / left[d <= kMaxShardD].
+[[nodiscard]] ShardFamily shard_family(const std::string& inner_spec,
+                                       std::uint32_t shards);
+
 /// Engine knobs beyond the inner spec and n.
 struct ShardOptions {
   std::uint32_t shards = 1;
@@ -198,31 +214,6 @@ class ShardedAllocator {
 
   // Multi-shard mode.
   std::vector<std::unique_ptr<Worker>> workers_;
-};
-
-/// Batch Protocol wrapper so `shards[t]:spec` slots into the registry
-/// (make_protocol): run() builds a fresh wide-layout engine per call.
-/// Note the batch form of shards[1]:spec is the *streaming* form of the
-/// inner rule (place loop + finalize) — for batched[capacity], whose
-/// batch form is the LW rounds, the sharded spelling is therefore its
-/// streaming capacity-bounded variant, same as the compact layout runs
-/// (pinned separately in the GoldenPins suite).
-class ShardedProtocol final : public core::Protocol {
- public:
-  /// \throws std::invalid_argument as ShardedAllocator (validated eagerly
-  ///         against a representative n at construction where possible;
-  ///         n-dependent limits re-check inside run()).
-  ShardedProtocol(std::string inner_spec, ShardOptions opt);
-
-  [[nodiscard]] std::string name() const override;
-
-  [[nodiscard]] core::AllocationResult run(std::uint64_t m, std::uint32_t n,
-                                           rng::Engine& gen) const override;
-
- private:
-  std::string inner_spec_;
-  std::string inner_name_;
-  ShardOptions opt_;
 };
 
 }  // namespace bbb::shard

@@ -7,7 +7,7 @@
 namespace bbb::sim {
 
 core::StateLayout ExperimentConfig::resolved_layout() const {
-  return layout ? *layout : core::preferred_layout(protocol_spec, n, m);
+  return layout ? *layout : core::make_protocol(protocol_spec)->preferred_layout(n, m);
 }
 
 std::string ExperimentConfig::describe() const {

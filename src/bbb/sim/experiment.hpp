@@ -23,7 +23,7 @@ struct ExperimentConfig {
   std::uint32_t replicates = 20;           ///< independent runs
   std::uint64_t seed = 42;                 ///< master seed
   /// BinState storage layout. Unset (the default) means derived:
-  /// core::preferred_layout(protocol_spec, n, m) picks compact unless the
+  /// Protocol::preferred_layout(n, m) picks compact unless the
   /// rule is batched[k] or ceil(m/n) reaches the side-table cliff. A set
   /// value pins the layout (perfbench and the layout lockstep tests do).
   /// Records are identical in both layouts except for batched[capacity],

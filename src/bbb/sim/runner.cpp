@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "bbb/core/protocols/registry.hpp"
-#include "bbb/core/spec.hpp"
 #include "bbb/obs/run.hpp"
 #include "bbb/rng/streams.hpp"
 #include "bbb/shard/engine.hpp"
@@ -17,15 +16,16 @@ double RunSummary::probes_per_ball() const {
 
 namespace {
 
-/// The replicate path, for either (resolved) layout: one streaming
-/// allocator, one run_batch call (the rule's batch hook: place_batch +
-/// finalize, or batched[k]'s LW rounds on a wide state), then the
+/// The replicate path of an unsharded spec, for either (resolved) layout:
+/// one streaming allocator bound from the run's Protocol, one run_batch
+/// call (the rule's batch hook: place_batch + finalize, or batched[k]'s
+/// LW rounds on a wide state), then the
 /// incremental metrics read off the state — no O(n) rescan, so compact
 /// n = 2^30 fits in ~1 GiB.
-ReplicateRecord run_streaming_replicate(const ExperimentConfig& config,
+ReplicateRecord run_streaming_replicate(const core::Protocol& protocol,
+                                        const ExperimentConfig& config,
                                         std::uint32_t replicate_index) {
-  const auto alloc = core::make_streaming_allocator(config.protocol_spec, config.n,
-                                                    config.m, *config.layout);
+  const auto alloc = protocol.bind(config.n, config.m, *config.layout);
   rng::Engine gen = rng::SeedSequence(config.seed).engine(replicate_index);
   alloc->set_engine_exclusive(true);
   if (config.obs.full_on() && config.obs.sink && config.obs.heartbeat_seconds > 0) {
@@ -65,79 +65,77 @@ ReplicateRecord run_streaming_replicate(const ExperimentConfig& config,
 }
 
 /// The sharded replicate path, for `shards[t]:` specs in either layout:
-/// run the multi-core engine of shard/engine.hpp directly (rather than
-/// through its opaque Protocol wrapper) so the merged incremental metrics
-/// are read off the per-shard states — no O(n) load materialization — and
-/// the shard counters (cross-shard traffic, deferrals, inbox entries)
-/// can be harvested. Results are identical to the wrapper: same derived
-/// engine, same consumption.
-ReplicateRecord run_sharded_replicate(const ExperimentConfig& config,
-                                      std::uint32_t shards,
-                                      const std::string& inner_spec,
+/// run the multi-core engine of shard/engine.hpp and read the merged
+/// incremental metrics off the per-shard states — no O(n) load
+/// materialization, unlike Protocol::run — and harvest the shard counters
+/// (cross-shard traffic, deferrals, inbox entries). Placements are
+/// Protocol::run's: same derived engine, same consumption.
+ReplicateRecord run_sharded_replicate(const core::Protocol& protocol,
+                                      const ExperimentConfig& config,
                                       std::uint32_t replicate_index) {
-  shard::ShardOptions opt;
-  opt.shards = shards;
-  opt.layout = *config.layout;
-  opt.m_hint = config.m;
-  shard::ShardedAllocator engine(inner_spec, config.n, opt);
+  const auto engine = protocol.bind_sharded(config.n, config.m, *config.layout);
   rng::Engine gen = rng::SeedSequence(config.seed).engine(replicate_index);
-  engine.run(config.m, gen);
+  engine->run(config.m, gen);
 
   ReplicateRecord rec;
-  rec.probes = static_cast<double>(engine.probes());
-  rec.max_load = engine.max_load();
-  rec.min_load = engine.min_load();
-  rec.gap = engine.gap();
-  rec.psi = engine.psi();
-  rec.log_phi = engine.log_phi();
-  if (const core::PlacementRule* rule = engine.rule(); rule != nullptr) {
+  rec.probes = static_cast<double>(engine->probes());
+  rec.max_load = engine->max_load();
+  rec.min_load = engine->min_load();
+  rec.gap = engine->gap();
+  rec.psi = engine->psi();
+  rec.log_phi = engine->log_phi();
+  if (const core::PlacementRule* rule = engine->rule(); rule != nullptr) {
     rec.reallocations = static_cast<double>(rule->reallocations());
     rec.rounds = static_cast<double>(rule->rounds());
     rec.completed = rule->completed();
   } else {
-    rec.rounds = static_cast<double>(engine.sync_rounds());
+    rec.rounds = static_cast<double>(engine->sync_rounds());
   }
   if (config.obs.counters_on()) {
-    if (const core::PlacementRule* rule = engine.rule(); rule != nullptr) {
-      rec.counters = obs::harvest(*rule, &engine.shard_state(0));
+    if (const core::PlacementRule* rule = engine->rule(); rule != nullptr) {
+      rec.counters = obs::harvest(*rule, &engine->shard_state(0));
     } else {
-      rec.counters.probes = engine.probes();
-      rec.counters.balls_placed = engine.balls();
-      rec.counters.rounds = engine.sync_rounds();
+      rec.counters.probes = engine->probes();
+      rec.counters.balls_placed = engine->balls();
+      rec.counters.rounds = engine->sync_rounds();
     }
-    rec.shard_counters = engine.counters();
+    rec.shard_counters = engine->counters();
   }
   return rec;
+}
+
+/// `config` with its layout resolved against the run's Protocol.
+ExperimentConfig resolve_layout(const ExperimentConfig& config,
+                                const core::Protocol& protocol) {
+  ExperimentConfig run = config;
+  if (!run.layout) run.layout = protocol.preferred_layout(config.n, config.m);
+  return run;
+}
+
+ReplicateRecord run_replicate(const core::Protocol& protocol, const ExperimentConfig& run,
+                              std::uint32_t replicate_index) {
+  return protocol.shards() != 0 ? run_sharded_replicate(protocol, run, replicate_index)
+                                : run_streaming_replicate(protocol, run, replicate_index);
 }
 
 }  // namespace
 
 ReplicateRecord run_replicate(const ExperimentConfig& config,
                               std::uint32_t replicate_index) {
-  if (!config.layout) {
-    ExperimentConfig resolved = config;
-    resolved.layout = config.resolved_layout();
-    return run_replicate(resolved, replicate_index);
-  }
-  if (const core::SpecPrefix prefix =
-          core::split_spec_prefix(config.protocol_spec, "protocol");
-      prefix.shards != 0) {
-    return run_sharded_replicate(config, prefix.shards, prefix.rest,
-                                 replicate_index);
-  }
-  return run_streaming_replicate(config, replicate_index);
+  const auto protocol = core::make_protocol(config.protocol_spec);
+  return run_replicate(*protocol, resolve_layout(config, *protocol), replicate_index);
 }
 
 RunSummary run_experiment(const ExperimentConfig& config, par::ThreadPool& pool) {
   if (config.replicates == 0) {
     throw std::invalid_argument("run_experiment: replicates must be positive");
   }
-  // Validate the spec (and capture the canonical name) before spawning work.
-  const std::string canonical = core::make_protocol(config.protocol_spec)->name();
-  // Resolve the layout once: every replicate, the run_start trace and the
-  // returned summary name the same one.
-  ExperimentConfig run = config;
-  run.layout = config.resolved_layout();
+  // Parse the spec once, before spawning work: every replicate binds from
+  // this one Protocol, and every replicate, the run_start trace and the
+  // returned summary name the same layout.
+  const auto protocol = core::make_protocol(config.protocol_spec);
+  const std::string& canonical = protocol->name();
+  const ExperimentConfig run = resolve_layout(config, *protocol);
 
   const obs::RunTrace trace(config.obs, "sim", [&](obs::JsonLine& line) {
     line.field("describe", run.describe())
@@ -154,7 +152,7 @@ RunSummary run_experiment(const ExperimentConfig& config, par::ThreadPool& pool)
   summary.protocol_name = canonical;
   summary.records = obs::run_replicates(
       pool, config.replicates, config.obs,
-      [&run](std::uint32_t r) { return run_replicate(run, r); });
+      [&](std::uint32_t r) { return run_replicate(*protocol, run, r); });
 
   // Fold in replicate order: summaries are independent of scheduling.
   const auto fold_start = std::chrono::steady_clock::now();

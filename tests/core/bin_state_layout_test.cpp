@@ -55,7 +55,7 @@ TEST(BinStateLayout, ReportsLayout) {
 }
 
 TEST(BinStateLayout, ParseAndPrintRoundTrip) {
-  // Layouts are derived per run (core::preferred_layout), never parsed
+  // Layouts are derived per run (Protocol::preferred_layout), never parsed
   // from user input; only the printed names remain, for describe() lines
   // and trace records.
   EXPECT_EQ(to_string(StateLayout::kWide), "wide");

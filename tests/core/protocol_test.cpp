@@ -1,4 +1,5 @@
-/// Boundary tests for the core/protocol.hpp helpers, chiefly ceil_div.
+/// Boundary tests for the core/protocol.hpp helpers, chiefly ceil_div, and
+/// for Protocol::run's (m, n) domain.
 ///
 /// The textbook formulation (m + n - 1) / n wraps for m within n - 1 of
 /// UINT64_MAX: (UINT64_MAX + n - 1) overflows to n - 2 and the quotient
@@ -13,6 +14,9 @@
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
+#include <vector>
+
+#include "bbb/core/protocols/registry.hpp"
 
 namespace bbb::core {
 namespace {
@@ -62,9 +66,19 @@ TEST(CeilDiv, AgreesWithFloatingPointOnGrid) {
   }
 }
 
-TEST(ValidateRunArgs, RejectsZeroBins) {
-  EXPECT_THROW(validate_run_args(10, 0), std::invalid_argument);
-  EXPECT_NO_THROW(validate_run_args(0, 1));
+TEST(ProtocolRun, RejectsZeroBins) {
+  // n == 0 is rejected before anything binds; m == 0 is an empty
+  // allocation over n bins, sharded or not.
+  for (const char* spec : {"greedy[2]", "shards[2]:greedy[2]"}) {
+    const auto protocol = make_protocol(spec);
+    rng::Engine gen(1);
+    EXPECT_THROW((void)protocol->run(10, 0, gen), std::invalid_argument) << spec;
+    const AllocationResult empty = protocol->run(0, 2, gen);
+    EXPECT_EQ(empty.loads, std::vector<std::uint32_t>(2, 0)) << spec;
+    EXPECT_EQ(empty.balls, 0u) << spec;
+    EXPECT_EQ(empty.probes, 0u) << spec;
+    EXPECT_TRUE(empty.completed) << spec;
+  }
 }
 
 }  // namespace

@@ -286,8 +286,10 @@ TEST(StreamingAllocator, RejectsRuleBuiltForDifferentN) {
 
 TEST(DynCuckoo, BinVictimDepartureKeepsResidentsConsistent) {
   const std::uint32_t n = 16;
-  const auto alloc = make_streaming_allocator("cuckoo[2,4]", n);
-  EXPECT_FALSE(alloc->rule().stable_ball_identity());
+  const auto protocol = core::make_protocol("cuckoo[2,4]");
+  EXPECT_FALSE(protocol->stable_ball_identity());
+  EXPECT_TRUE(core::make_protocol("greedy[2]")->stable_ball_identity());
+  const auto alloc = protocol->bind(n, 0, core::StateLayout::kWide);
   rng::Engine gen(8);
   for (int i = 0; i < 3 * 16; ++i) alloc->place(gen);
   for (int cycle = 0; cycle < 200; ++cycle) {

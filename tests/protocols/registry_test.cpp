@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "bbb/core/protocols/bounded_probe.hpp"
 #include "bbb/core/spec.hpp"
@@ -57,12 +58,43 @@ TEST_P(RegistryRoundTripTest, NameParsesBack) {
   EXPECT_EQ(r1.loads, r2.loads);
 }
 
+// One parsed Protocol serves every replicate of a run: each bind is a
+// fresh rule over a fresh state, bit-identical to what the one-call factory
+// builds — loads, counters and engine consumption — in either layout.
+TEST_P(RegistryRoundTripTest, BoundTwiceMatchesTheFactory) {
+  const auto protocol = make_protocol(GetParam());
+  for (const StateLayout layout : {StateLayout::kCompact, StateLayout::kWide}) {
+    const auto expected = make_streaming_allocator(GetParam(), 32, 100, layout);
+    rng::Engine expected_gen(5);
+    expected->set_engine_exclusive(true);
+    expected->run_batch(100, expected_gen);
+    const AllocationResult want = expected->result();
+    for (int bind = 0; bind < 2; ++bind) {
+      const auto alloc = protocol->bind(32, 100, layout);
+      rng::Engine gen(5);
+      alloc->set_engine_exclusive(true);
+      alloc->run_batch(100, gen);
+      const AllocationResult got = alloc->result();
+      const std::string where = GetParam() + " " + std::string(to_string(layout));
+      EXPECT_EQ(alloc->name(), expected->name()) << where;
+      EXPECT_EQ(got.loads, want.loads) << where;
+      EXPECT_EQ(got.balls, want.balls) << where;
+      EXPECT_EQ(got.probes, want.probes) << where;
+      EXPECT_EQ(got.reallocations, want.reallocations) << where;
+      EXPECT_EQ(got.rounds, want.rounds) << where;
+      EXPECT_EQ(got.completed, want.completed) << where;
+      EXPECT_EQ(gen, expected_gen) << where;
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllSpecs, RegistryRoundTripTest,
                          ::testing::Values("one-choice", "greedy[3]", "left[2]",
                                            "memory[2,1]", "threshold", "threshold[3]",
                                            "adaptive", "adaptive[2]", "batched[4]",
                                            "self-balancing", "cuckoo[2,4]",
-                                           "stale-adaptive[16]"));
+                                           "stale-adaptive[16]",
+                                           "capacities=1,2:greedy[2]"));
 
 TEST(Registry, UnknownNameThrows) {
   EXPECT_THROW((void)make_protocol("nonsense"), std::invalid_argument);

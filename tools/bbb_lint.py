@@ -47,6 +47,13 @@ contract a past PR established and the tree now relies on:
                       copy of the replicate loop cannot grow back.
                       In-replicate heartbeat lines stay with the tiers;
                       par/ itself defines the fan-out.
+  bind-from-protocol  Under src/bbb/, only core/protocols/registry.* and
+                      shard/ call make_streaming_allocator( or make_rule(
+                      — a driver parses its spec once per run
+                      (make_protocol) and binds every replicate from that
+                      Protocol, so the per-replicate re-parse cannot come
+                      back. The shard/ exception lasts until the shard
+                      engine is retired.
 
 Suppression (all rules but orphan-header): append
 `// bbb-lint: allow(rule-id)` to the offending line.
@@ -385,6 +392,31 @@ def check_one_run_harness(root):
     return violations
 
 
+# bind-from-protocol: the one-call factories re-parse their spec; the
+# library's drivers bind from the run's parsed Protocol instead.
+FACTORY_CALL_RE = re.compile(r"\b(make_streaming_allocator|make_rule)\s*\(")
+FACTORY_HOMES = ("src/bbb/core/protocols/registry.", "src/bbb/shard/")
+
+
+def check_bind_from_protocol(root):
+    """Only the registry and shard/ call the re-parsing factories."""
+    src = os.path.join(root, "src", "bbb")
+    violations = []
+    for path in iter_cpp_files(root):
+        rel_path = rel(root, path).replace(os.sep, "/")
+        if not path.startswith(src + os.sep) or rel_path.startswith(FACTORY_HOMES):
+            continue
+        raw = read_lines(path)
+        for i, (line, code) in enumerate(zip(raw, code_lines(raw)), 1):
+            call = FACTORY_CALL_RE.search(code)
+            if call and not suppressed(line, "bind-from-protocol"):
+                violations.append((rel_path, i, "bind-from-protocol",
+                                   f"{call.group(1)}( re-parses the spec — call "
+                                   "make_protocol once per run and bind each "
+                                   "replicate through Protocol::bind"))
+    return violations
+
+
 def check_orphan_header(root):
     """Every src/bbb/ header has an includer outside its own pair and tests/."""
     includers = {}  # header path -> extension-less paths of its includers
@@ -426,6 +458,7 @@ RULES = (
     ("cli-doc-flags", check_cli_doc_flags),
     ("orphan-header", check_orphan_header),
     ("one-run-harness", check_one_run_harness),
+    ("bind-from-protocol", check_bind_from_protocol),
 )
 
 

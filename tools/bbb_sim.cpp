@@ -7,7 +7,7 @@
 ///   $ bbb_sim --protocol=threshold --csv=reps.csv ...
 ///   $ bbb_sim --protocol='shards[4]:greedy[2]' ...   # sharded engine
 ///
-/// The BinState layout is derived per run (core::preferred_layout) and
+/// The BinState layout is derived per run (Protocol::preferred_layout) and
 /// named in the table title. The one-choice occupancy law is sampled by
 /// bbb_law, not here.
 
@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "bbb/core/protocols/registry.hpp"
-#include "bbb/core/spec.hpp"
 #include "bbb/io/argparse.hpp"
 #include "bbb/io/csv.hpp"
 #include "bbb/io/table.hpp"
@@ -78,7 +77,10 @@ int main(int argc, char** argv) {
     add("probes", s.probes, 1);
     add("probes/ball", [&] {
       bbb::stats::RunningStats per;
-      for (const auto& r : s.records) per.add(r.probes / static_cast<double>(cfg.m));
+      // m = 0 reads 0, as RunSummary::probes_per_ball does.
+      for (const auto& r : s.records) {
+        per.add(cfg.m > 0 ? r.probes / static_cast<double>(cfg.m) : 0.0);
+      }
       return per;
     }(), 4);
     add("max load", s.max_load, 2);
@@ -103,24 +105,19 @@ int main(int argc, char** argv) {
       // One representative run for the histogram (replicate 0's seed).
       bbb::rng::Engine gen = bbb::rng::SeedSequence(cfg.seed).engine(0);
       const bbb::core::StateLayout layout = *s.config.layout;
+      const auto protocol = bbb::core::make_protocol(cfg.protocol_spec);
       std::vector<std::uint32_t> levels;
-      if (const auto prefix = bbb::core::split_spec_prefix(cfg.protocol_spec, "protocol");
-          prefix.shards != 0) {
+      if (protocol->shards() != 0) {
         // Sharded: run the engine and read the merged level counts (no
         // 32-bit load vector materialized).
-        bbb::shard::ShardOptions opt;
-        opt.shards = prefix.shards;
-        opt.layout = layout;
-        opt.m_hint = cfg.m;
-        bbb::shard::ShardedAllocator engine(prefix.rest, cfg.n, opt);
-        engine.run(cfg.m, gen);
-        levels = engine.merged_level_counts();
+        const auto engine = protocol->bind_sharded(cfg.n, cfg.m, layout);
+        engine->run(cfg.m, gen);
+        levels = engine->merged_level_counts();
       } else {
         // Run replicate 0 as sim::run_replicate does and read the state's
         // incremental level counts — O(max load); no load vector is copied
         // (at n = 2^30 that vector alone would be 4 GiB).
-        const auto alloc =
-            bbb::core::make_streaming_allocator(cfg.protocol_spec, cfg.n, cfg.m, layout);
+        const auto alloc = protocol->bind(cfg.n, cfg.m, layout);
         alloc->set_engine_exclusive(true);
         alloc->run_batch(cfg.m, gen);
         const bbb::core::BinState& state = alloc->state();

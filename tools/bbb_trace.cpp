@@ -54,8 +54,9 @@ int main(int argc, char** argv) {
     // The m hint binds fixed-bound rules (threshold) to this run's total;
     // the factory also honors capacities= prefixes (heterogeneous bins).
     const std::string& spec = args.get_string("protocol");
-    const bbb::core::StateLayout layout = bbb::core::preferred_layout(spec, n, m);
-    const auto alloc = bbb::core::make_streaming_allocator(spec, n, m, layout);
+    const auto protocol = bbb::core::make_protocol(spec);
+    const bbb::core::StateLayout layout = protocol->preferred_layout(n, m);
+    const auto alloc = protocol->bind(n, m, layout);
     if (obs.sink) {
       bbb::obs::JsonLine line("run_start", "trace");
       line.begin_object("config")

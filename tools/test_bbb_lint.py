@@ -305,6 +305,28 @@ class OneRunHarness(FixtureTree):
         self.assertEqual(bbb_lint.check_one_run_harness(self.root), [])
 
 
+class BindFromProtocol(FixtureTree):
+    def test_driver_calling_the_factory_fires(self):
+        write(self.root, "src/bbb/sim/runner.cpp",
+              "const auto alloc = core::make_streaming_allocator(spec, n, m);\n")
+        violations = bbb_lint.check_bind_from_protocol(self.root)
+        self.assertEqual(rules_fired(violations), ["bind-from-protocol"])
+        self.assertEqual(violations[0][:2], ("src/bbb/sim/runner.cpp", 1))
+
+    def test_binding_from_a_protocol_is_clean(self):
+        write(self.root, "src/bbb/dyn/engine.cpp",
+              "const auto alloc = protocol->bind(n, m_hint, layout);\n"
+              "// make_rule(spec, n) in a comment is prose, not a call\n")
+        self.assertEqual(bbb_lint.check_bind_from_protocol(self.root), [])
+
+    def test_the_registry_is_clean(self):
+        write(self.root, "src/bbb/core/protocols/registry.cpp",
+              'if (s.name == "one-choice") return make();\n'
+              "return make_protocol(spec)->bind(n, m_hint, layout);\n"
+              "std::unique_ptr<PlacementRule> make_rule(const std::string& spec,\n")
+        self.assertEqual(bbb_lint.check_bind_from_protocol(self.root), [])
+
+
 class MainEntry(FixtureTree):
     def test_clean_fixture_exits_zero(self):
         self.assertEqual(bbb_lint.main(["bbb_lint.py", self.root]), 0)
