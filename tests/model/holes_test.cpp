@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace bbb::model {
 namespace {
 
@@ -62,6 +64,31 @@ TEST(Holes, FinishesWithinTheorem41BudgetTypically) {
   ChoiceVector c(n, 13);
   const auto traj = holes_trajectory(m, c, 1ULL << 20);
   EXPECT_LE(traj.back().t, theorem41_probe_budget(m, n));
+}
+
+// W_t pinned at n = 1024, m = 65536 (phi = 64), seed 43, stride 8192 —
+// the shape bench_appendix_poisson prints. Captured from the implementation;
+// a change to the rule, the probe stream or the sampling shows up here.
+TEST(HolesPins, Phi64Seed43Stride8192) {
+  const std::vector<HolesPoint> expected = {
+      {8192, 58368, 8192},
+      {16384, 50176, 16384},
+      {24576, 41984, 24576},
+      {32768, 33792, 32768},
+      {40960, 25600, 40960},
+      {49152, 17450, 49110},
+      {57344, 9648, 56912},
+      {65536, 3789, 62771},
+      {72968, 1024, 65536},
+  };
+  ChoiceVector c(1024, 43);
+  const auto traj = holes_trajectory(65536, c, 8192);
+  ASSERT_EQ(traj.size(), expected.size());
+  for (std::size_t i = 0; i < traj.size(); ++i) {
+    EXPECT_EQ(traj[i].t, expected[i].t) << "row " << i;
+    EXPECT_EQ(traj[i].holes, expected[i].holes) << "row " << i;
+    EXPECT_EQ(traj[i].placed, expected[i].placed) << "row " << i;
+  }
 }
 
 }  // namespace
