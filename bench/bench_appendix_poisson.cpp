@@ -77,8 +77,8 @@ int main(int argc, char** argv) {
   holes.set_title("holes trajectory, phi = " + std::to_string(kPhi) +
                   ", budget T = (phi + phi^0.75 + 1) n = " +
                   std::to_string(bbb::model::theorem41_probe_budget(m, n)));
-  bbb::model::ChoiceVector choices(n, flags.seed + 1);
-  const auto traj = bbb::model::holes_trajectory(m, choices, m / 8);
+  bbb::rng::Engine choices(flags.seed + 1);
+  const auto traj = bbb::model::holes_trajectory(m, n, choices, m / 8);
   for (const auto& p : traj) {
     holes.begin_row();
     holes.add_num(static_cast<double>(p.t) / static_cast<double>(n), 2);
@@ -90,7 +90,7 @@ int main(int argc, char** argv) {
   std::printf("\nfinal: all %llu balls placed after %llu probes (budget %llu) — "
               "endgame W_T = n exactly as the proof needs.\n",
               static_cast<unsigned long long>(m),
-              static_cast<unsigned long long>(choices.consumed()),
+              static_cast<unsigned long long>(traj.back().t),
               static_cast<unsigned long long>(bbb::model::theorem41_probe_budget(m, n)));
   return 0;
 }

@@ -3,33 +3,32 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "bbb/core/protocol.hpp"
+#include "bbb/core/protocols/registry.hpp"
 
 namespace bbb::model {
 
-std::vector<HolesPoint> holes_trajectory(std::uint64_t m, ChoiceVector& choices,
-                                         std::uint64_t stride) {
+std::vector<HolesPoint> holes_trajectory(std::uint64_t m, std::uint32_t n,
+                                         rng::Engine& gen, std::uint64_t stride) {
   if (m == 0) throw std::invalid_argument("holes_trajectory: m must be positive");
   if (stride == 0) stride = 1;
-  const std::uint32_t n = choices.n();
-  const auto cap = static_cast<std::uint32_t>(core::ceil_div(m, n) + 1);
-  const std::uint32_t bound = cap - 1;  // accept iff load <= ceil(m/n)
+  // Bound with m_hint = m, threshold accepts a bin iff its load <=
+  // ceil(m/n) = cap - 1. No engine exclusivity: `gen` stops at the last
+  // entry the rule consumed.
+  const auto protocol = core::make_protocol("threshold");
+  const auto alloc = protocol->bind(n, m, protocol->preferred_layout(n, m));
+  const std::uint64_t slots = (core::ceil_div(m, n) + 1) * n;
 
-  std::vector<std::uint32_t> loads(n, 0);
-  std::uint64_t holes = static_cast<std::uint64_t>(cap) * n;
-  std::uint64_t placed = 0;
   std::vector<HolesPoint> points;
-
-  for (std::uint64_t t = 1; placed < m; ++t) {
-    const std::uint32_t bin = choices.next();
-    if (loads[bin] <= bound) {
-      ++loads[bin];
-      --holes;
-      ++placed;
+  std::uint64_t t_prev = 0;
+  for (std::uint64_t placed = 1; placed <= m; ++placed) {
+    (void)alloc->place(gen);
+    const std::uint64_t t = alloc->probes();
+    // Entries t_prev + 1 .. t - 1 were rejected: W_t held still there.
+    for (std::uint64_t s = (t_prev / stride + 1) * stride; s < t; s += stride) {
+      points.push_back({s, slots - (placed - 1), placed - 1});
     }
-    if (t % stride == 0 || placed == m) {
-      points.push_back({t, holes, placed});
-    }
+    if (t % stride == 0 || placed == m) points.push_back({t, slots - placed, placed});
+    t_prev = t;
   }
   return points;
 }

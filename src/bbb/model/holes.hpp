@@ -2,6 +2,12 @@
 /// \file holes.hpp
 /// The holes process W_t from the proof of Theorem 4.1.
 ///
+/// The proof fixes an infinite vector C of i.i.d. uniform bin choices in
+/// advance: ball 1 consumes entries until it is placed, ball 2 continues
+/// from there, and the allocation time is the number of entries consumed.
+/// C is exactly the stream of uniform bin draws an engine yields, so the
+/// registry's own `threshold` rule driven by `gen` runs over it.
+///
 /// Fix capacity cap = ceil(m/n) + 1. A bin with l balls has cap - l holes;
 /// W_t is the total number of holes after the first t entries of the choice
 /// vector have been processed by threshold. The proof shows that after
@@ -15,7 +21,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "bbb/model/choice_vector.hpp"
+#include "bbb/rng/xoshiro256.hpp"
 
 namespace bbb::model {
 
@@ -26,12 +32,13 @@ struct HolesPoint {
   std::uint64_t placed = 0;  ///< balls placed so far
 };
 
-/// Run threshold for m balls over `choices`, recording W_t every `stride`
-/// processed entries (and at the final entry). The capacity is
-/// ceil(m/n) + 1 as in the paper.
-/// \throws std::invalid_argument if m == 0.
-[[nodiscard]] std::vector<HolesPoint> holes_trajectory(std::uint64_t m,
-                                                       ChoiceVector& choices,
+/// Run the registry's threshold rule for m balls into n bins over the
+/// choices `gen` draws, recording W_t every `stride` processed entries (and
+/// at the final entry). The capacity is ceil(m/n) + 1 as in the paper, and
+/// `gen` ends exactly after the last consumed entry.
+/// \throws std::invalid_argument if m == 0 or n == 0.
+[[nodiscard]] std::vector<HolesPoint> holes_trajectory(std::uint64_t m, std::uint32_t n,
+                                                       rng::Engine& gen,
                                                        std::uint64_t stride);
 
 /// The paper's T = (phi + phi^{3/4} + 1) * n probe budget from Theorem 4.1,

@@ -1,53 +1,32 @@
 #include "bbb/model/stage_drift.hpp"
 
-#include <cmath>
+#include <algorithm>
 #include <stdexcept>
 
 #include "bbb/core/metrics.hpp"
-#include "bbb/rng/engine.hpp"
+#include "bbb/core/protocols/registry.hpp"
 
 namespace bbb::model {
 
 namespace {
 
-// Phi at a stage boundary tau with the paper's stage form:
-// Phi(l) = sum_i (1+eps)^{tau + 2 - l_i}.
-double stage_phi(const std::vector<std::uint32_t>& loads, std::uint64_t tau) {
-  const double log1pe = std::log1p(core::kPotentialEpsilon);
-  double acc = 0.0;
-  for (std::uint32_t l : loads) {
-    acc += std::exp((static_cast<double>(tau) + 2.0 - static_cast<double>(l)) * log1pe);
+// Runs `stages` stages of n balls through the registry's adaptive rule,
+// invoking the callback at the end of each stage with (tau, loads_before,
+// loads_after, probes). Ball i of stage tau sees the bound ceil(i/n) = tau.
+template <typename Callback>
+void run_stages(std::uint32_t n, std::uint32_t stages, rng::Engine& gen, Callback&& cb) {
+  if (n == 0) throw std::invalid_argument("stage run: n must be positive");
+  if (stages == 0) throw std::invalid_argument("stage run: stages must be positive");
+  const std::uint64_t m = static_cast<std::uint64_t>(n) * stages;
+  const auto protocol = core::make_protocol("adaptive");
+  const auto alloc = protocol->bind(n, m, protocol->preferred_layout(n, m));
+  for (std::uint32_t tau = 1; tau <= stages; ++tau) {
+    const std::vector<std::uint32_t> before = alloc->state().copy_loads();
+    const std::uint64_t probes_before = alloc->probes();
+    alloc->place_batch(n, gen);
+    cb(tau, before, alloc->state().copy_loads(), alloc->probes() - probes_before);
   }
-  return acc;
 }
-
-struct InstrumentedRun {
-  // Runs `stages` stages of adaptive over n bins, invoking the callback at
-  // the end of each stage with (tau, loads_before, loads_after, probes).
-  template <typename Callback>
-  static void run(std::uint32_t n, std::uint32_t stages, rng::Engine& gen,
-                  Callback&& cb) {
-    if (n == 0) throw std::invalid_argument("stage run: n must be positive");
-    if (stages == 0) throw std::invalid_argument("stage run: stages must be positive");
-    std::vector<std::uint32_t> loads(n, 0);
-    for (std::uint32_t tau = 1; tau <= stages; ++tau) {
-      const std::vector<std::uint32_t> before = loads;
-      // Ball i in stage tau accepts bins with load <= ceil(i/n) = tau.
-      std::uint64_t probes = 0;
-      for (std::uint32_t b = 0; b < n; ++b) {
-        for (;;) {
-          const auto bin = static_cast<std::uint32_t>(rng::uniform_below(gen, n));
-          ++probes;
-          if (loads[bin] <= tau) {
-            ++loads[bin];
-            break;
-          }
-        }
-      }
-      cb(tau, before, loads, probes);
-    }
-  }
-};
 
 }  // namespace
 
@@ -56,16 +35,17 @@ std::vector<StageRecord> adaptive_stage_records(std::uint32_t n, std::uint32_t s
                                                 std::uint32_t deep_hole) {
   std::vector<StageRecord> records;
   records.reserve(stages);
-  InstrumentedRun::run(
+  run_stages(
       n, stages, gen,
       [&](std::uint32_t tau, const std::vector<std::uint32_t>& before,
           const std::vector<std::uint32_t>& after, std::uint64_t probes) {
         StageRecord rec;
         rec.stage = tau;
         // Phi "before" the stage is the end of stage tau-1 with exponent
-        // (tau-1) + 2 - l; "after" uses exponent tau + 2 - l.
-        rec.phi_before = stage_phi(before, tau - 1);
-        rec.phi_after = stage_phi(after, tau);
+        // (tau-1) + 2 - l; "after" uses exponent tau + 2 - l. The average
+        // load at a stage boundary is exactly the stage index.
+        rec.phi_before = core::exponential_potential(before, (tau - 1) * std::uint64_t{n});
+        rec.phi_after = core::exponential_potential(after, tau * std::uint64_t{n});
         rec.drift = rec.phi_before > 0 ? rec.phi_after / rec.phi_before : 1.0;
         rec.probes = probes;
         std::uint64_t deep = 0, arrivals = 0;
@@ -91,7 +71,7 @@ std::vector<std::uint64_t> underloaded_arrival_histogram(std::uint32_t n,
                                                          std::uint32_t deep_hole,
                                                          std::uint32_t max_k) {
   std::vector<std::uint64_t> counts(max_k + 1, 0);
-  InstrumentedRun::run(
+  run_stages(
       n, stages, gen,
       [&](std::uint32_t tau, const std::vector<std::uint32_t>& before,
           const std::vector<std::uint32_t>& after, std::uint64_t) {

@@ -10,8 +10,9 @@
 ///   * the exponential-potential drift: Lemma 3.4: E[Phi^{tau+1}] <=
 ///     (1 - kappa/2) Phi^tau whenever Phi^tau >= rho * n.
 ///
-/// This module instruments an adaptive run to expose both quantities so
-/// tests and bench_lemma34_drift can verify them empirically.
+/// This module runs the registry's own adaptive rule stage by stage to
+/// expose both quantities so tests and bench_lemma34_drift can verify them
+/// empirically.
 
 #include <cstdint>
 #include <vector>

@@ -8,16 +8,17 @@ namespace bbb::model {
 namespace {
 
 TEST(Holes, Validation) {
-  ChoiceVector c(8, 1);
-  EXPECT_THROW((void)holes_trajectory(0, c, 10), std::invalid_argument);
+  rng::Engine gen(1);
+  EXPECT_THROW((void)holes_trajectory(0, 8, gen, 10), std::invalid_argument);
+  EXPECT_THROW((void)holes_trajectory(10, 0, gen, 10), std::invalid_argument);
   EXPECT_THROW((void)theorem41_probe_budget(10, 0), std::invalid_argument);
 }
 
 TEST(Holes, StartsAtCapTimesNAndEndsBelowN) {
   constexpr std::uint32_t n = 64;
   constexpr std::uint64_t m = 8 * n;
-  ChoiceVector c(n, 3);
-  const auto traj = holes_trajectory(m, c, 1);
+  rng::Engine gen(3);
+  const auto traj = holes_trajectory(m, n, gen, 1);
   ASSERT_FALSE(traj.empty());
   // First processed entry: either a placement (holes = cap*n - 1) or not.
   const std::uint32_t cap = 8 + 1;
@@ -29,8 +30,8 @@ TEST(Holes, StartsAtCapTimesNAndEndsBelowN) {
 }
 
 TEST(Holes, HolesAreMonotoneNonincreasing) {
-  ChoiceVector c(32, 4);
-  const auto traj = holes_trajectory(320, c, 7);
+  rng::Engine gen(4);
+  const auto traj = holes_trajectory(320, 32, gen, 7);
   for (std::size_t i = 1; i < traj.size(); ++i) {
     EXPECT_LE(traj[i].holes, traj[i - 1].holes);
     EXPECT_GE(traj[i].placed, traj[i - 1].placed);
@@ -41,9 +42,9 @@ TEST(Holes, HolesAreMonotoneNonincreasing) {
 TEST(Holes, PlacedPlusHolesIsInvariant) {
   constexpr std::uint32_t n = 16;
   constexpr std::uint64_t m = 100;
-  ChoiceVector c(n, 5);
+  rng::Engine gen(5);
   const std::uint32_t cap = (100 + 15) / 16 + 1;  // ceil + 1 = 8
-  const auto traj = holes_trajectory(m, c, 3);
+  const auto traj = holes_trajectory(m, n, gen, 3);
   for (const auto& p : traj) {
     EXPECT_EQ(p.placed + p.holes, static_cast<std::uint64_t>(cap) * n);
   }
@@ -61,14 +62,15 @@ TEST(Holes, FinishesWithinTheorem41BudgetTypically) {
   // seed must finish within the budget (failure probability O(n^-2)).
   constexpr std::uint32_t n = 1 << 10;
   constexpr std::uint64_t m = 64ULL * n;
-  ChoiceVector c(n, 13);
-  const auto traj = holes_trajectory(m, c, 1ULL << 20);
+  rng::Engine gen(13);
+  const auto traj = holes_trajectory(m, n, gen, 1ULL << 20);
   EXPECT_LE(traj.back().t, theorem41_probe_budget(m, n));
 }
 
 // W_t pinned at n = 1024, m = 65536 (phi = 64), seed 43, stride 8192 —
-// the shape bench_appendix_poisson prints. Captured from the implementation;
-// a change to the rule, the probe stream or the sampling shows up here.
+// the shape bench_appendix_poisson prints. Captured from a loop over a
+// pre-drawn choice vector, so these rows also pin that the registry's
+// threshold rule consumes the proof's vector C exactly.
 TEST(HolesPins, Phi64Seed43Stride8192) {
   const std::vector<HolesPoint> expected = {
       {8192, 58368, 8192},
@@ -81,8 +83,8 @@ TEST(HolesPins, Phi64Seed43Stride8192) {
       {65536, 3789, 62771},
       {72968, 1024, 65536},
   };
-  ChoiceVector c(1024, 43);
-  const auto traj = holes_trajectory(65536, c, 8192);
+  rng::Engine gen(43);
+  const auto traj = holes_trajectory(65536, 1024, gen, 8192);
   ASSERT_EQ(traj.size(), expected.size());
   for (std::size_t i = 0; i < traj.size(); ++i) {
     EXPECT_EQ(traj[i].t, expected[i].t) << "row " << i;
