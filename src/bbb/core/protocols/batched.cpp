@@ -38,7 +38,7 @@ std::uint32_t BatchedRule::do_place(BinState& state, std::uint32_t /*weight*/,
 
 void BatchedRule::do_run_batch(BinState& state, std::uint64_t m, rng::Engine& gen,
                                const BatchProgress& progress) {
-  if (state.layout() != StateLayout::kWide || !state.capacities().empty()) {
+  if (!state.capacities().empty()) {
     PlacementRule::do_run_batch(state, m, gen, progress);
     return;
   }

@@ -21,9 +21,9 @@
 /// capacity, and a fully saturated system is detected in O(1) and reported
 /// by throwing instead of spinning.
 ///
-/// Batch reading: `run_batch` on a wide state without capacities runs the
-/// LW rounds above over the whole ball set (rounds() = rounds used);
-/// compact and `capacities=` states run the streaming form (rounds() = 0).
+/// Batch reading: `run_batch` on a state without capacities, in either
+/// layout, runs the LW rounds above over the whole ball set (rounds() =
+/// rounds used); `capacities=` states run the streaming form (rounds() = 0).
 /// Batched is therefore the one rule whose batch hook is *not* the place
 /// loop (`batch_equivalent() == false`).
 
@@ -32,7 +32,7 @@
 namespace bbb::core {
 
 /// Capacity-bounded rule: accept any probed bin with load < capacity; in
-/// batch on a wide uniform state, the LW rounds.
+/// batch on a uniform state, the LW rounds.
 class BatchedRule final : public PlacementRule {
  public:
   /// \param capacity max balls a bin will accept in total;
@@ -52,7 +52,7 @@ class BatchedRule final : public PlacementRule {
   std::uint32_t do_place(BinState& state, std::uint32_t weight,
                          rng::Engine& gen) override;
 
-  /// The LW rounds on a wide state without capacities (probes() counts
+  /// The LW rounds on a state without capacities (probes() counts
   /// every request message); the streaming form elsewhere. Rounds are not
   /// chunked, so `progress` is not called on the LW path.
   /// \throws std::invalid_argument on the LW path if m exceeds the free

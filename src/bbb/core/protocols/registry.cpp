@@ -155,7 +155,6 @@ std::unique_ptr<Protocol> make_protocol(const std::string& spec) {
     p.binder_ = [capacity](std::uint32_t, std::uint64_t) {
       return std::make_unique<BatchedRule>(capacity);
     };
-    p.needs_wide_ = true;
   } else if (s.name == "self-balancing") {
     reject_args(s, rest);
     p.name_ = s.name;
@@ -240,8 +239,7 @@ std::unique_ptr<shard::ShardedAllocator> Protocol::bind_sharded(
 StateLayout Protocol::preferred_layout(std::uint32_t n,
                                        std::uint64_t expected_balls) const {
   // n == 0 is rejected when the run binds its state.
-  const bool wide =
-      needs_wide_ || n == 0 || ceil_div(expected_balls, n) >= kCompactLoadCliff;
+  const bool wide = n == 0 || ceil_div(expected_balls, n) >= kCompactLoadCliff;
   return wide ? StateLayout::kWide : StateLayout::kCompact;
 }
 

@@ -131,11 +131,10 @@ class Protocol {
       std::uint32_t n, std::uint64_t m_hint, StateLayout layout) const;
 
   /// The BinState layout a run over n bins holding about `expected_balls`
-  /// balls should use: kWide for batched[k] (its LW rounds need the wide
-  /// state) or when ceil(expected_balls / n) reaches kCompactLoadCliff,
-  /// else kCompact. Both give identical records except batched[k]'s, so
-  /// this only picks the faster path. Departures served by sample_nonempty
-  /// need kWide whatever this says (the dyn engine checks).
+  /// balls should use: kWide when ceil(expected_balls / n) reaches
+  /// kCompactLoadCliff, else kCompact. Both layouts give identical
+  /// records, so this only picks the faster path. Departures served by
+  /// sample_nonempty need kWide whatever this says (the dyn engine checks).
   [[nodiscard]] StateLayout preferred_layout(std::uint32_t n,
                                              std::uint64_t expected_balls) const;
 
@@ -164,7 +163,6 @@ class Protocol {
   SpecPrefix prefix_;
   std::string name_;
   RuleBinder binder_;
-  bool needs_wide_ = false;  ///< batched[k]: its LW rounds run on wide states only
   bool stable_ball_identity_ = true;
 };
 

@@ -9,7 +9,7 @@
 ///
 ///   * batch — `run_batch(m)` places m fresh balls through the rule's one
 ///     batch hook (`place_batch(m)` + `finalize` for every rule but
-///     batched[k], whose wide form is the LW rounds); every `Protocol::run`
+///     batched[k], whose batch form is the LW rounds); every `Protocol::run`
 ///     and every sim replicate is this call;
 ///   * dynamic — `place()` / `remove()` so the dyn engine can interleave
 ///     departures.
@@ -28,9 +28,8 @@
 ///
 /// Two self-describing traits keep the drivers honest:
 ///   * `batch_equivalent()` — false for rules whose batch form is not the
-///     plain place_one loop: batched (round-synchronous LW rounds on a wide
-///     state) and self-balancing (post-placement balancing sweeps in
-///     `finalize`);
+///     plain place_one loop: batched (round-synchronous LW rounds) and
+///     self-balancing (post-placement balancing sweeps in `finalize`);
 ///   * `supports_weights()` — true for rules that can commit a whole
 ///     weight-w chain to one bin as a single atomic decision (one-choice,
 ///     greedy[d], left[d]). place_one with weight > 1 throws for every
@@ -109,7 +108,7 @@ class PlacementRule {
   /// place_batch(m) then finalize, with `progress` (when set) called
   /// between place_batch chunks of kBatchProgressStride balls; chunking
   /// never changes a placement. Only batched[k] overrides it (the LW
-  /// rounds on a wide uniform state, see protocols/batched.hpp).
+  /// rounds on a uniform state, see protocols/batched.hpp).
   void run_batch(BinState& state, std::uint64_t m, rng::Engine& gen,
                  const BatchProgress& progress = {}) {
     do_run_batch(state, m, gen, progress);

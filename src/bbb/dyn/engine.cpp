@@ -77,11 +77,6 @@ DynConfig resolve_layout(const DynConfig& config, const core::Protocol& protocol
 
 }  // namespace
 
-core::StateLayout DynConfig::resolved_layout() const {
-  if (layout) return *layout;
-  return *resolve_layout(*this, *core::make_protocol(allocator_spec)).layout;
-}
-
 std::string DynConfig::describe() const {
   std::string desc =
       allocator_spec + " x " + workload_spec + " n=" + std::to_string(n) +

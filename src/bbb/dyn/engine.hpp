@@ -72,10 +72,6 @@ struct DynConfig {
   /// affects placements or the randomness stream.
   obs::ObsConfig obs;
 
-  /// The layout a run uses: the pinned one, or the derived one.
-  /// \throws std::invalid_argument for unknown specs.
-  [[nodiscard]] core::StateLayout resolved_layout() const;
-
   /// Human-readable one-line description for logs and table titles; names
   /// the layout when one is set.
   [[nodiscard]] std::string describe() const;

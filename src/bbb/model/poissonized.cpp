@@ -25,14 +25,6 @@ std::vector<std::uint32_t> poissonized_loads(double lambda, std::uint32_t n,
   return loads;
 }
 
-std::vector<std::uint32_t> truncate_loads(const std::vector<std::uint32_t>& access,
-                                          std::uint32_t cap) {
-  std::vector<std::uint32_t> out(access.size());
-  std::transform(access.begin(), access.end(), out.begin(),
-                 [cap](std::uint32_t x) { return std::min(x, cap); });
-  return out;
-}
-
 std::vector<std::uint64_t> level_counts_of(const std::vector<std::uint32_t>& loads) {
   if (loads.empty()) throw std::invalid_argument("level_counts_of: empty loads");
   const std::uint32_t max = *std::max_element(loads.begin(), loads.end());

@@ -29,11 +29,6 @@ namespace bbb::model {
                                                            std::uint32_t n,
                                                            rng::Engine& gen);
 
-/// Truncated loads min(X_i, cap) — the threshold protocol's load vector as a
-/// function of its access distribution (Section 4: L_i = min(X_i, phi+1)).
-[[nodiscard]] std::vector<std::uint32_t> truncate_loads(
-    const std::vector<std::uint32_t>& access, std::uint32_t cap);
-
 /// Level counts K_j = #{i : loads[i] == j} for j = 0..max load — the
 /// sufficient statistic both the exact and Poisson models share with the
 /// law tier (law::OccupancyProfile), letting the cross-validation tests

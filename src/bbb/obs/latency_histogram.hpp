@@ -8,9 +8,10 @@
 ///
 /// Why not stats::IntHistogram (exact per-value counts)? Latencies span
 /// six orders of magnitude; a dense exact histogram anchored at the
-/// minimum would hold millions of cells. Why not stats::P2Quantile? P² is
-/// O(1) per quantile but approximate in a data-dependent way and — the
-/// killer for replicated runs — two P² states cannot be merged. This
+/// minimum would hold millions of cells. Why not a P² streaming quantile
+/// estimator (Jain & Chlamtac 1985)? P² is O(1) per quantile but
+/// approximate in a data-dependent way and — the killer for replicated
+/// runs — two P² states cannot be merged. This
 /// histogram records in O(1), extracts any quantile in O(#buckets), and
 /// merges LOSSLESSLY: merge(h(A), h(B)) equals h(A ++ B) bucket for
 /// bucket, so per-replicate histograms folded in replicate order give the

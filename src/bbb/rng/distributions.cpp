@@ -6,18 +6,6 @@
 
 namespace bbb::rng {
 
-// ---------------------------------------------------------------- Exponential
-
-ExponentialDist::ExponentialDist(double rate) : rate_(rate) {
-  if (!(rate > 0.0) || !std::isfinite(rate)) {
-    throw std::invalid_argument("ExponentialDist: rate must be positive and finite");
-  }
-}
-
-double ExponentialDist::operator()(Engine& gen) const {
-  return -std::log(next_double_nonzero(gen)) / rate_;
-}
-
 // --------------------------------------------------------------------- Normal
 
 NormalDist::NormalDist(double mean, double stddev) : mean_(mean), stddev_(stddev) {

@@ -18,21 +18,6 @@
 
 namespace bbb::rng {
 
-/// Exponential(rate): density rate*exp(-rate*x) on x >= 0.
-class ExponentialDist {
- public:
-  /// \throws std::invalid_argument if rate <= 0.
-  explicit ExponentialDist(double rate);
-
-  double operator()(Engine& gen) const;
-
-  [[nodiscard]] double rate() const noexcept { return rate_; }
-  [[nodiscard]] double mean() const noexcept { return 1.0 / rate_; }
-
- private:
-  double rate_;
-};
-
 /// Standard normal via the Marsaglia polar method. Stateless between draws
 /// (the spare variate is *not* cached so that draws from a shared const
 /// object are thread-safe).

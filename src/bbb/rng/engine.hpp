@@ -48,12 +48,6 @@ template <Engine64 G>
   return lemire_map(x, bound);
 }
 
-/// Uniform integer in the closed range [lo, hi]. Precondition: lo <= hi.
-template <Engine64 G>
-[[nodiscard]] std::uint64_t uniform_range(G& gen, std::uint64_t lo, std::uint64_t hi) {
-  return lo + uniform_below(gen, hi - lo + 1);
-}
-
 /// Uniform double in [0, 1) with full 53-bit mantissa resolution.
 template <Engine64 G>
 [[nodiscard]] double next_double(G& gen) {

@@ -1,7 +1,5 @@
 #include "bbb/rng/xoshiro256.hpp"
 
-#include <bit>
-
 #include "bbb/rng/splitmix64.hpp"
 
 namespace bbb::rng {
@@ -13,47 +11,5 @@ Xoshiro256PlusPlus::Xoshiro256PlusPlus(std::uint64_t seed) noexcept {
 
 Xoshiro256PlusPlus::Xoshiro256PlusPlus(const std::array<std::uint64_t, 4>& state) noexcept
     : s_(state) {}
-
-namespace {
-
-// Jump polynomials from the reference implementation (Blackman & Vigna).
-constexpr std::uint64_t kJump[] = {0x180ec6d33cfd0abaULL, 0xd5a61266f0c9392cULL,
-                                   0xa9582618e03fc9aaULL, 0x39abdc4529b1661cULL};
-constexpr std::uint64_t kLongJump[] = {0x76e15d3efefdcbbfULL, 0xc5004e441c522fb3ULL,
-                                       0x77710069854ee241ULL, 0x39109bb02acbe635ULL};
-
-}  // namespace
-
-void Xoshiro256PlusPlus::jump() noexcept {
-  std::array<std::uint64_t, 4> acc{0, 0, 0, 0};
-  for (std::uint64_t poly : kJump) {
-    for (int b = 0; b < 64; ++b) {
-      if (poly & (std::uint64_t{1} << b)) {
-        acc[0] ^= s_[0];
-        acc[1] ^= s_[1];
-        acc[2] ^= s_[2];
-        acc[3] ^= s_[3];
-      }
-      (*this)();
-    }
-  }
-  s_ = acc;
-}
-
-void Xoshiro256PlusPlus::long_jump() noexcept {
-  std::array<std::uint64_t, 4> acc{0, 0, 0, 0};
-  for (std::uint64_t poly : kLongJump) {
-    for (int b = 0; b < 64; ++b) {
-      if (poly & (std::uint64_t{1} << b)) {
-        acc[0] ^= s_[0];
-        acc[1] ^= s_[1];
-        acc[2] ^= s_[2];
-        acc[3] ^= s_[3];
-      }
-      (*this)();
-    }
-  }
-  s_ = acc;
-}
 
 }  // namespace bbb::rng

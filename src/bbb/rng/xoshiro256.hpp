@@ -5,8 +5,8 @@
 /// 256 bits of state, period 2^256 - 1, excellent statistical quality
 /// (passes BigCrush and PractRand), and roughly one rotate + two xors per
 /// 64-bit output — ideal for the probe-heavy inner loops of balls-into-bins
-/// protocols. `jump()` advances by 2^128 steps, so up to 2^128
-/// non-overlapping subsequences can be handed to parallel workers.
+/// protocols. Independent streams come from rng::SeedSequence
+/// (streams.hpp).
 
 #include <array>
 #include <bit>
@@ -42,13 +42,6 @@ class Xoshiro256PlusPlus {
     s_[3] = std::rotl(s_[3], 45);
     return result;
   }
-
-  /// Advance 2^128 steps. Partitions the period into non-overlapping halves;
-  /// calling jump() k times on copies yields k independent parallel streams.
-  void jump() noexcept;
-
-  /// Advance 2^192 steps (for nested stream hierarchies).
-  void long_jump() noexcept;
 
   static constexpr result_type min() noexcept { return 0; }
   static constexpr result_type max() noexcept { return ~std::uint64_t{0}; }

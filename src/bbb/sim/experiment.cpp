@@ -2,13 +2,7 @@
 
 #include <sstream>
 
-#include "bbb/core/protocols/registry.hpp"
-
 namespace bbb::sim {
-
-core::StateLayout ExperimentConfig::resolved_layout() const {
-  return layout ? *layout : core::make_protocol(protocol_spec)->preferred_layout(n, m);
-}
 
 std::string ExperimentConfig::describe() const {
   std::ostringstream os;

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "bbb/core/bin_state.hpp"
 #include "bbb/obs/harvest.hpp"
@@ -23,14 +24,11 @@ struct ExperimentConfig {
   std::uint32_t replicates = 20;           ///< independent runs
   std::uint64_t seed = 42;                 ///< master seed
   /// BinState storage layout. Unset (the default) means derived:
-  /// Protocol::preferred_layout(n, m) picks compact unless the
-  /// rule is batched[k] or ceil(m/n) reaches the side-table cliff. A set
-  /// value pins the layout (perfbench and the layout lockstep tests do).
-  /// Records are identical in both layouts except for batched[capacity],
-  /// whose batch hook runs the LW rounds only on kWide (rounds >= 1) and
-  /// its streaming capacity-bounded form on kCompact. run_experiment
-  /// resolves the layout once, so RunSummary::config names the one that
-  /// ran.
+  /// Protocol::preferred_layout(n, m) picks compact unless ceil(m/n)
+  /// reaches the side-table cliff. A set value pins the layout (perfbench
+  /// and the layout lockstep tests do). Records are identical in both
+  /// layouts. run_experiment resolves the layout once, so
+  /// RunSummary::config names the one that ran.
   std::optional<core::StateLayout> layout;
   /// Keep the raw per-replicate rows in RunSummary::records. Summary
   /// statistics are always folded; switch this off in large sweeps so a
@@ -40,9 +38,6 @@ struct ExperimentConfig {
   /// default: replicates then run the uninstrumented path of PRs 1-6 and
   /// RunSummary::obs stays empty. Never affects placements (see obs.hpp).
   obs::ObsConfig obs;
-
-  /// The layout a run uses: the pinned one, or the derived one.
-  [[nodiscard]] core::StateLayout resolved_layout() const;
 
   /// Human-readable "spec m=... n=... reps=..." line for logs; names the
   /// layout when one is set.
@@ -60,6 +55,10 @@ struct ReplicateRecord {
   double reallocations = 0.0;  ///< post-placement moves (CRS, cuckoo)
   double rounds = 0.0;         ///< synchronous rounds (parallel protocols)
   bool completed = true;
+  /// Final level counts: levels[l] = bins holding exactly l balls, for
+  /// l = 0..max_load (size max_load + 1). O(max load), read off the
+  /// state's incremental counts, so no load vector is materialized.
+  std::vector<std::uint32_t> levels;
   /// Exact core counters (probes, lookahead, compact side-table traffic)
   /// harvested after the replicate — populated only when the experiment's
   /// obs level is counters or full; all-zero otherwise.

@@ -19,9 +19,8 @@ namespace {
 /// The replicate path of an unsharded spec, for either (resolved) layout:
 /// one streaming allocator bound from the run's Protocol, one run_batch
 /// call (the rule's batch hook: place_batch + finalize, or batched[k]'s
-/// LW rounds on a wide state), then the
-/// incremental metrics read off the state — no O(n) rescan, so compact
-/// n = 2^30 fits in ~1 GiB.
+/// LW rounds), then the incremental metrics read off the state — no O(n)
+/// rescan, so compact n = 2^30 fits in ~1 GiB.
 ReplicateRecord run_streaming_replicate(const core::Protocol& protocol,
                                         const ExperimentConfig& config,
                                         std::uint32_t replicate_index) {
@@ -58,6 +57,8 @@ ReplicateRecord run_streaming_replicate(const core::Protocol& protocol,
   rec.gap = state.gap();
   rec.psi = state.psi();
   rec.log_phi = state.log_phi();
+  const auto& counts = state.level_counts();
+  rec.levels.assign(counts.begin(), counts.begin() + state.max_load() + 1);
   if (config.obs.counters_on()) {
     rec.counters = obs::harvest(*alloc);
   }
@@ -84,6 +85,7 @@ ReplicateRecord run_sharded_replicate(const core::Protocol& protocol,
   rec.gap = engine->gap();
   rec.psi = engine->psi();
   rec.log_phi = engine->log_phi();
+  rec.levels = engine->merged_level_counts();
   if (const core::PlacementRule* rule = engine->rule(); rule != nullptr) {
     rec.reallocations = static_cast<double>(rule->reallocations());
     rec.rounds = static_cast<double>(rule->rounds());

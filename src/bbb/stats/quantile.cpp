@@ -28,88 +28,4 @@ double exact_quantile(std::vector<double> data, double q) {
   return data[lo] + (data[hi] - data[lo]) * frac;
 }
 
-P2Quantile::P2Quantile(double q) : q_(q) {
-  if (!(q > 0.0 && q < 1.0)) throw std::invalid_argument("P2Quantile: q not in (0,1)");
-  warmup_.reserve(5);
-}
-
-void P2Quantile::add(double x) {
-  ++count_;
-  if (count_ <= 5) {
-    warmup_.push_back(x);
-    if (count_ == 5) {
-      std::sort(warmup_.begin(), warmup_.end());
-      for (int i = 0; i < 5; ++i) {
-        heights_[i] = warmup_[static_cast<std::size_t>(i)];
-        positions_[i] = i + 1;
-      }
-      desired_[0] = 1;
-      desired_[1] = 1 + 2 * q_;
-      desired_[2] = 1 + 4 * q_;
-      desired_[3] = 3 + 2 * q_;
-      desired_[4] = 5;
-      increments_[0] = 0;
-      increments_[1] = q_ / 2;
-      increments_[2] = q_;
-      increments_[3] = (1 + q_) / 2;
-      increments_[4] = 1;
-    }
-    return;
-  }
-
-  // Locate the cell containing x and clamp the extreme markers.
-  int k;
-  if (x < heights_[0]) {
-    heights_[0] = x;
-    k = 0;
-  } else if (x >= heights_[4]) {
-    heights_[4] = x;
-    k = 3;
-  } else {
-    k = 0;
-    while (k < 3 && x >= heights_[k + 1]) ++k;
-  }
-  for (int i = k + 1; i < 5; ++i) positions_[i] += 1;
-  for (int i = 0; i < 5; ++i) desired_[i] += increments_[i];
-
-  // Adjust the three interior markers with the piecewise-parabolic update.
-  for (int i = 1; i <= 3; ++i) {
-    const double d = desired_[i] - positions_[i];
-    const double right_gap = positions_[i + 1] - positions_[i];
-    const double left_gap = positions_[i - 1] - positions_[i];
-    if ((d >= 1.0 && right_gap > 1.0) || (d <= -1.0 && left_gap < -1.0)) {
-      const double sign = d >= 0 ? 1.0 : -1.0;
-      // Parabolic prediction (P²), falling back to linear when it would
-      // break marker monotonicity.
-      const double hp = heights_[i + 1];
-      const double hm = heights_[i - 1];
-      const double h = heights_[i];
-      const double np = positions_[i + 1];
-      const double nm = positions_[i - 1];
-      const double np0 = positions_[i];
-      const double parabolic =
-          h + sign / (np - nm) *
-                  ((np0 - nm + sign) * (hp - h) / (np - np0) +
-                   (np - np0 - sign) * (h - hm) / (np0 - nm));
-      if (hm < parabolic && parabolic < hp) {
-        heights_[i] = parabolic;
-      } else {
-        const int j = sign > 0 ? i + 1 : i - 1;
-        heights_[i] = h + sign * (heights_[j] - h) /
-                              (positions_[j] - np0);
-      }
-      positions_[i] += sign;
-    }
-  }
-}
-
-double P2Quantile::value() const {
-  if (count_ == 0) throw std::logic_error("P2Quantile: no observations");
-  if (count_ < 5) {
-    std::vector<double> tmp = warmup_;
-    return exact_quantile(std::move(tmp), q_);
-  }
-  return heights_[2];
-}
-
 }  // namespace bbb::stats

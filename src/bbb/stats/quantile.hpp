@@ -1,10 +1,7 @@
 #pragma once
 /// \file quantile.hpp
-/// Quantile estimation: exact (sorting) for batch data and the P² streaming
-/// estimator (Jain & Chlamtac 1985) for long traces where storing every
-/// observation would dominate memory.
+/// Exact quantile estimation (sorting) for batch data.
 
-#include <cstddef>
 #include <vector>
 
 namespace bbb::stats {
@@ -13,32 +10,5 @@ namespace bbb::stats {
 /// statistics, the "type 7" convention used by R/numpy). `data` is copied.
 /// \throws std::invalid_argument if data is empty or q outside [0,1].
 [[nodiscard]] double exact_quantile(std::vector<double> data, double q);
-
-/// P² single-quantile streaming estimator: O(1) memory, 5 markers.
-class P2Quantile {
- public:
-  /// \param q target quantile in (0, 1).
-  /// \throws std::invalid_argument if q outside (0,1).
-  explicit P2Quantile(double q);
-
-  /// Fold one observation.
-  void add(double x);
-
-  /// Current estimate. Exact until 5 observations have been seen.
-  /// \throws std::logic_error if no observations yet.
-  [[nodiscard]] double value() const;
-
-  [[nodiscard]] std::size_t count() const noexcept { return count_; }
-  [[nodiscard]] double q() const noexcept { return q_; }
-
- private:
-  double q_;
-  std::size_t count_ = 0;
-  double heights_[5] = {};
-  double positions_[5] = {};
-  double desired_[5] = {};
-  double increments_[5] = {};
-  std::vector<double> warmup_;
-};
 
 }  // namespace bbb::stats

@@ -248,25 +248,32 @@ DynConfig churn_config(const std::string& allocator, std::uint64_t per_bin) {
   return cfg;
 }
 
+/// The layout a run used, as its summary names it.
+core::StateLayout layout_of(const DynConfig& cfg) {
+  const DynSummary s = run_dynamic(cfg);
+  EXPECT_TRUE(s.config.layout.has_value()) << cfg.allocator_spec;
+  return s.config.layout.value_or(core::StateLayout::kCompact);
+}
+
 TEST(Engine, DefaultLayoutIsDerived) {
   using core::StateLayout;
   // Balls leave from the registry: compact, up to the side-table cliff.
-  EXPECT_EQ(churn_config("greedy[2]", 4).resolved_layout(), StateLayout::kCompact);
-  EXPECT_EQ(churn_config("adaptive-net", 4).resolved_layout(), StateLayout::kCompact);
-  EXPECT_EQ(churn_config("greedy[2]", 256).resolved_layout(), StateLayout::kWide);
+  EXPECT_EQ(layout_of(churn_config("greedy[2]", 4)), StateLayout::kCompact);
+  EXPECT_EQ(layout_of(churn_config("adaptive-net", 4)), StateLayout::kCompact);
+  EXPECT_EQ(layout_of(churn_config("greedy[2]", 256)), StateLayout::kWide);
   // Departures that serve a uniformly random busy bin need the wide
   // nonempty index: the supermarket workload, and cuckoo, whose relocated
   // balls force bin-occupancy victims under any workload.
   DynConfig market = small_config();
   market.workload_spec = "supermarket[90]";
-  EXPECT_EQ(market.resolved_layout(), StateLayout::kWide);
-  EXPECT_EQ(churn_config("cuckoo[2,4]", 1).resolved_layout(), StateLayout::kWide);
-  // batched[k] follows the registry's preference.
-  EXPECT_EQ(churn_config("batched[8]", 1).resolved_layout(), StateLayout::kWide);
+  EXPECT_EQ(layout_of(market), StateLayout::kWide);
+  EXPECT_EQ(layout_of(churn_config("cuckoo[2,4]", 1)), StateLayout::kWide);
+  // batched[k] follows the registry's preference, like every rule.
+  EXPECT_EQ(layout_of(churn_config("batched[8]", 1)), StateLayout::kCompact);
   // A pinned layout wins.
   DynConfig pinned = churn_config("greedy[2]", 4);
   pinned.layout = StateLayout::kWide;
-  EXPECT_EQ(pinned.resolved_layout(), StateLayout::kWide);
+  EXPECT_EQ(layout_of(pinned), StateLayout::kWide);
 }
 
 TEST(Engine, DerivedRunEqualsPinnedRun) {

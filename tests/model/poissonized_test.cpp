@@ -28,12 +28,6 @@ TEST(Poissonized, PoissonLoadsHaveRightMean) {
   EXPECT_NEAR(total / (kTrials * 256.0), 5.0, 0.1);
 }
 
-TEST(Poissonized, TruncateCapsEveryEntry) {
-  const std::vector<std::uint32_t> access{0, 3, 7, 10, 2};
-  const auto trunc = truncate_loads(access, 5);
-  EXPECT_EQ(trunc, (std::vector<std::uint32_t>{0, 3, 5, 5, 2}));
-}
-
 TEST(Poissonized, EstimatorsReturnProbabilities) {
   rng::Engine gen(3);
   const auto event = [](const std::vector<std::uint32_t>& loads) {

@@ -34,6 +34,31 @@ TEST(Batched, ImpossibleLoadRejected) {
                std::invalid_argument);
 }
 
+TEST(Batched, LwRoundsAreTheSameInBothLayouts) {
+  // The rounds read load() and call add_ball() only, so a compact state
+  // runs them bit for bit as a wide one — past the 8-bit lane limit too.
+  struct Case {
+    const char* spec;
+    std::uint64_t m;
+    std::uint32_t n;
+  };
+  for (const Case& c : {Case{"batched[2]", 1 << 12, 1 << 12},
+                        Case{"batched[300]", 280 * 64, 64}}) {
+    const auto p = make_protocol(c.spec);
+    const auto wide = p->bind(c.n, c.m, StateLayout::kWide);
+    const auto compact = p->bind(c.n, c.m, StateLayout::kCompact);
+    rng::Engine gen_wide(9);
+    rng::Engine gen_compact(9);
+    wide->run_batch(c.m, gen_wide);
+    compact->run_batch(c.m, gen_compact);
+    EXPECT_GE(wide->rule().rounds(), 1u) << c.spec;
+    EXPECT_EQ(wide->rule().rounds(), compact->rule().rounds()) << c.spec;
+    EXPECT_EQ(wide->probes(), compact->probes()) << c.spec;
+    EXPECT_EQ(wide->state().copy_loads(), compact->state().copy_loads()) << c.spec;
+    EXPECT_EQ(gen_wide, gen_compact) << c.spec;
+  }
+}
+
 TEST(Batched, CapacityIsNeverExceeded) {
   const auto p = make_protocol("batched[2]");
   rng::Engine gen(2);

@@ -12,12 +12,6 @@ namespace {
 
 // ----------------------------------------------------------------- validation
 
-TEST(DistValidation, ExponentialRejectsBadRate) {
-  EXPECT_THROW(ExponentialDist(0.0), std::invalid_argument);
-  EXPECT_THROW(ExponentialDist(-1.0), std::invalid_argument);
-  EXPECT_NO_THROW(ExponentialDist(2.5));
-}
-
 TEST(DistValidation, NormalRejectsBadStddev) {
   EXPECT_THROW(NormalDist(0.0, 0.0), std::invalid_argument);
   EXPECT_THROW(NormalDist(0.0, -2.0), std::invalid_argument);
@@ -40,22 +34,6 @@ TEST(DistValidation, GeometricRejectsBadP) {
   EXPECT_THROW(GeometricDist(0.0), std::invalid_argument);
   EXPECT_THROW(GeometricDist(1.5), std::invalid_argument);
   EXPECT_NO_THROW(GeometricDist(1.0));
-}
-
-// ---------------------------------------------------------------- exponential
-
-TEST(Exponential, MeanMatchesRate) {
-  Engine gen(100);
-  ExponentialDist dist(2.0);
-  stats::RunningStats s;
-  for (int i = 0; i < 200'000; ++i) s.add(dist(gen));
-  EXPECT_NEAR(s.mean(), 0.5, 0.01);
-}
-
-TEST(Exponential, AlwaysNonNegative) {
-  Engine gen(101);
-  ExponentialDist dist(0.5);
-  for (int i = 0; i < 10'000; ++i) EXPECT_GE(dist(gen), 0.0);
 }
 
 // --------------------------------------------------------------------- normal

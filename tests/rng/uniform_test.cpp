@@ -42,25 +42,6 @@ TEST(UniformBelow, WorksWithSplitMix64Engine) {
   }
 }
 
-TEST(UniformRange, HitsBothEndpoints) {
-  Engine gen(4);
-  bool saw_lo = false, saw_hi = false;
-  for (int i = 0; i < 10'000; ++i) {
-    const std::uint64_t v = uniform_range(gen, 5, 8);
-    ASSERT_GE(v, 5u);
-    ASSERT_LE(v, 8u);
-    saw_lo |= (v == 5);
-    saw_hi |= (v == 8);
-  }
-  EXPECT_TRUE(saw_lo);
-  EXPECT_TRUE(saw_hi);
-}
-
-TEST(UniformRange, DegenerateRange) {
-  Engine gen(5);
-  EXPECT_EQ(uniform_range(gen, 9, 9), 9u);
-}
-
 TEST(NextDouble, InHalfOpenUnitInterval) {
   Engine gen(6);
   for (int i = 0; i < 100'000; ++i) {

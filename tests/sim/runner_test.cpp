@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <optional>
 #include <string>
 
 #include "bbb/core/protocols/registry.hpp"
@@ -94,6 +95,34 @@ TEST(Runner, ProbesPerBall) {
   EXPECT_NEAR(s.probes_per_ball(), s.probes.mean() / 1000.0, 1e-12);
 }
 
+TEST(Runner, RecordsKeepFinalLevelCounts) {
+  // levels[l] = bins at load exactly l, trimmed to max_load + 1: one entry
+  // per bin and one ball per unit of load, on both replicate paths.
+  struct Case {
+    const char* spec;
+    std::optional<core::StateLayout> layout;
+  };
+  for (const Case& c : {Case{"greedy[2]", core::StateLayout::kWide},
+                        Case{"greedy[2]", core::StateLayout::kCompact},
+                        Case{"shards[2]:greedy[2]", std::nullopt}}) {
+    ExperimentConfig cfg = small_config();
+    cfg.protocol_spec = c.spec;
+    cfg.layout = c.layout;
+    const RunSummary s = run_experiment(cfg);
+    for (const ReplicateRecord& rec : s.records) {
+      ASSERT_EQ(rec.levels.size(), static_cast<std::size_t>(rec.max_load) + 1) << c.spec;
+      std::uint64_t bins = 0;
+      std::uint64_t balls = 0;
+      for (std::size_t l = 0; l < rec.levels.size(); ++l) {
+        bins += rec.levels[l];
+        balls += l * rec.levels[l];
+      }
+      EXPECT_EQ(bins, cfg.n) << c.spec;
+      EXPECT_EQ(balls, cfg.m) << c.spec;
+    }
+  }
+}
+
 TEST(Runner, FailuresAreCounted) {
   // Cuckoo over capacity: every replicate must report failure.
   ExperimentConfig cfg;
@@ -116,11 +145,8 @@ TEST(Runner, Validation) {
 
 TEST(Runner, LayoutIsAPlainParameter) {
   // One replicate path serves both layouts, so every registry family
-  // yields the same record at wide and at compact, field for field. The
-  // one exception is batched[k]: its batch hook runs the LW rounds on a
-  // wide state (rounds >= 1) and the streaming form on a compact one
-  // (rounds = 0). At this load one LW round places every ball in the bin
-  // it requested, as the streaming form's first probe does.
+  // yields the same record at wide and at compact, field for field —
+  // batched[k]'s LW rounds included.
   const auto& concrete = test::concrete_protocol_specs();
   for (const std::string& tmpl : core::protocol_specs()) {
     ASSERT_EQ(concrete.count(tmpl), 1u) << "registry family '" << tmpl << "' has no row";
@@ -144,12 +170,8 @@ TEST(Runner, LayoutIsAPlainParameter) {
     EXPECT_EQ(wide.completed, compact.completed) << spec;
     EXPECT_EQ(wide.counters, compact.counters) << spec;
     EXPECT_EQ(wide.wall_ns, compact.wall_ns) << spec;
-    if (spec.rfind("batched[", 0) == 0) {
-      EXPECT_GE(wide.rounds, 1.0) << spec;
-      EXPECT_EQ(compact.rounds, 0.0) << spec;
-    } else {
-      EXPECT_EQ(wide.rounds, compact.rounds) << spec;
-    }
+    EXPECT_EQ(wide.rounds, compact.rounds) << spec;
+    EXPECT_EQ(wide.levels, compact.levels) << spec;
   }
 }
 
@@ -163,6 +185,13 @@ ExperimentConfig derived_config(const std::string& spec, std::uint64_t m_per_bin
   return cfg;
 }
 
+/// The layout a run used, as its summary names it.
+core::StateLayout layout_of(const ExperimentConfig& cfg) {
+  const RunSummary s = run_experiment(cfg);
+  EXPECT_TRUE(s.config.layout.has_value()) << cfg.protocol_spec;
+  return s.config.layout.value_or(core::StateLayout::kWide);
+}
+
 TEST(Runner, DefaultLayoutIsDerived) {
   using core::StateLayout;
   // The paper's protocols and the two-choice baseline at m = 8n run on
@@ -170,25 +199,24 @@ TEST(Runner, DefaultLayoutIsDerived) {
   for (const char* spec : {"greedy[2]", "adaptive", "threshold", "one-choice"}) {
     const ExperimentConfig cfg = derived_config(spec, 8);
     EXPECT_FALSE(cfg.layout.has_value()) << spec;
-    EXPECT_EQ(cfg.resolved_layout(), StateLayout::kCompact) << spec;
+    EXPECT_EQ(layout_of(cfg), StateLayout::kCompact) << spec;
   }
-  // batched[k]'s LW rounds need the wide state.
-  EXPECT_EQ(derived_config("batched[2]", 1).resolved_layout(), StateLayout::kWide);
+  // batched[k]'s LW rounds run in either layout, so it derives like the rest.
+  EXPECT_EQ(layout_of(derived_config("batched[2]", 1)), StateLayout::kCompact);
   // The side-table cliff: ceil(m/n) = cliff - 1 stays compact, the cliff
   // and beyond go wide.
   const std::uint64_t cliff = core::kCompactLoadCliff;
   EXPECT_EQ(cliff, 191u);
-  EXPECT_EQ(derived_config("greedy[2]", cliff - 1).resolved_layout(),
-            StateLayout::kCompact);
-  EXPECT_EQ(derived_config("greedy[2]", cliff).resolved_layout(), StateLayout::kWide);
-  EXPECT_EQ(derived_config("adaptive", 2 * cliff).resolved_layout(), StateLayout::kWide);
+  EXPECT_EQ(layout_of(derived_config("greedy[2]", cliff - 1)), StateLayout::kCompact);
+  EXPECT_EQ(layout_of(derived_config("greedy[2]", cliff)), StateLayout::kWide);
+  EXPECT_EQ(layout_of(derived_config("adaptive", 2 * cliff)), StateLayout::kWide);
   ExperimentConfig ragged = derived_config("greedy[2]", cliff - 1);
   ragged.m += 1;  // ceil(m/n) = cliff
-  EXPECT_EQ(ragged.resolved_layout(), StateLayout::kWide);
+  EXPECT_EQ(layout_of(ragged), StateLayout::kWide);
   // A pinned layout wins.
   ExperimentConfig pinned = derived_config("greedy[2]", 8);
   pinned.layout = StateLayout::kWide;
-  EXPECT_EQ(pinned.resolved_layout(), StateLayout::kWide);
+  EXPECT_EQ(layout_of(pinned), StateLayout::kWide);
 }
 
 TEST(Runner, DerivedRunEqualsPinnedRun) {
@@ -201,10 +229,9 @@ TEST(Runner, DerivedRunEqualsPinnedRun) {
     for (const std::uint64_t per_bin : {std::uint64_t{8}, core::kCompactLoadCliff}) {
       ExperimentConfig cfg = derived_config(concrete.at(tmpl), per_bin);
       if (tmpl == "batched[capacity]") cfg.m = cfg.n;  // batched[64] holds <= 64n
-      const core::StateLayout layout = cfg.resolved_layout();
       const RunSummary derived = run_experiment(cfg);
       ASSERT_TRUE(derived.config.layout.has_value()) << cfg.protocol_spec;
-      EXPECT_EQ(*derived.config.layout, layout) << cfg.protocol_spec;
+      const core::StateLayout layout = *derived.config.layout;
       const std::string name(core::to_string(layout));
       EXPECT_NE(derived.config.describe().find("layout=" + name), std::string::npos);
       cfg.layout = layout;

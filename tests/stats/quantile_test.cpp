@@ -3,9 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
-
-#include "bbb/rng/distributions.hpp"
-#include "bbb/rng/xoshiro256.hpp"
+#include <vector>
 
 namespace bbb::stats {
 namespace {
@@ -54,53 +52,6 @@ TEST(ExactQuantile, RejectsNaN) {
   // Infinities are ordered fine and stay legal.
   const double inf = std::numeric_limits<double>::infinity();
   EXPECT_DOUBLE_EQ(exact_quantile({-inf, 0.0, inf}, 0.5), 0.0);
-}
-
-TEST(P2Quantile, RejectsDegenerateQ) {
-  EXPECT_THROW(P2Quantile(0.0), std::invalid_argument);
-  EXPECT_THROW(P2Quantile(1.0), std::invalid_argument);
-}
-
-TEST(P2Quantile, ThrowsBeforeAnyObservation) {
-  P2Quantile q(0.5);
-  EXPECT_THROW((void)q.value(), std::logic_error);
-}
-
-TEST(P2Quantile, ExactDuringWarmup) {
-  P2Quantile q(0.5);
-  q.add(10.0);
-  EXPECT_DOUBLE_EQ(q.value(), 10.0);
-  q.add(20.0);
-  q.add(30.0);
-  EXPECT_DOUBLE_EQ(q.value(), 20.0);
-}
-
-class P2AccuracyTest : public ::testing::TestWithParam<double> {};
-
-TEST_P(P2AccuracyTest, TracksExactQuantileOnNormalData) {
-  const double target_q = GetParam();
-  rng::Engine gen(42);
-  rng::NormalDist normal(0.0, 1.0);
-  P2Quantile p2(target_q);
-  std::vector<double> all;
-  constexpr int kN = 50'000;
-  all.reserve(kN);
-  for (int i = 0; i < kN; ++i) {
-    const double x = normal(gen);
-    p2.add(x);
-    all.push_back(x);
-  }
-  const double exact = exact_quantile(std::move(all), target_q);
-  EXPECT_NEAR(p2.value(), exact, 0.05) << "q=" << target_q;
-}
-
-INSTANTIATE_TEST_SUITE_P(CommonQuantiles, P2AccuracyTest,
-                         ::testing::Values(0.1, 0.25, 0.5, 0.75, 0.9, 0.99));
-
-TEST(P2Quantile, CountTracksObservations) {
-  P2Quantile q(0.5);
-  for (int i = 0; i < 17; ++i) q.add(i);
-  EXPECT_EQ(q.count(), 17u);
 }
 
 }  // namespace

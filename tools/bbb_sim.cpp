@@ -20,8 +20,6 @@
 #include "bbb/io/csv.hpp"
 #include "bbb/io/table.hpp"
 #include "bbb/obs/cli.hpp"
-#include "bbb/rng/streams.hpp"
-#include "bbb/shard/engine.hpp"
 #include "bbb/sim/runner.hpp"
 #include "bbb/stats/histogram.hpp"
 
@@ -102,28 +100,9 @@ int main(int argc, char** argv) {
     bbb::obs::print_summary(s.obs, stderr);
 
     if (args.get_u64("histogram") != 0) {
-      // One representative run for the histogram (replicate 0's seed).
-      bbb::rng::Engine gen = bbb::rng::SeedSequence(cfg.seed).engine(0);
-      const bbb::core::StateLayout layout = *s.config.layout;
-      const auto protocol = bbb::core::make_protocol(cfg.protocol_spec);
-      std::vector<std::uint32_t> levels;
-      if (protocol->shards() != 0) {
-        // Sharded: run the engine and read the merged level counts (no
-        // 32-bit load vector materialized).
-        const auto engine = protocol->bind_sharded(cfg.n, cfg.m, layout);
-        engine->run(cfg.m, gen);
-        levels = engine->merged_level_counts();
-      } else {
-        // Run replicate 0 as sim::run_replicate does and read the state's
-        // incremental level counts — O(max load); no load vector is copied
-        // (at n = 2^30 that vector alone would be 4 GiB).
-        const auto alloc = protocol->bind(cfg.n, cfg.m, layout);
-        alloc->set_engine_exclusive(true);
-        alloc->run_batch(cfg.m, gen);
-        const bbb::core::BinState& state = alloc->state();
-        const auto& counts = state.level_counts();
-        levels.assign(counts.begin(), counts.begin() + state.max_load() + 1);
-      }
+      // Replicate 0's final level counts, kept in its record: O(max load),
+      // no load vector (at n = 2^30 that vector alone would be 4 GiB).
+      const std::vector<std::uint32_t>& levels = s.records[0].levels;
       bbb::stats::IntHistogram hist;
       for (std::size_t l = 0; l < levels.size(); ++l) {
         if (levels[l] > 0) hist.add(l, levels[l]);
